@@ -13,6 +13,16 @@ certified bounds:
   -log F(u-) <= 2 (1 - F(u-)) valid above the median; families with bounded
   support terminate exactly, and atoms below the support infimum pin the
   path to +oo from the corresponding time onward.
+
+First passage Y_k = inf{t : H_t > eta_k} is exact for pure drift, for a
+single family with one positive atom and for a single Frechet family; the
+Frechet route draws the stable frailty S of H_t = b t + (c t)^(1/alpha) S
+(Kanter 1975) and ignores ``tol``.  Any other triplet brackets each row's
+levels by horizon doublings of its certified series, then bisects every
+coordinate of a block of rows in one vectorized sweep on the row's final
+arrivals.  That route is deterministic per seed; its outputs may differ,
+within the truncation tolerance, from a bisection of each coordinate on
+only the arrivals drawn up to its own bracket, as earlier versions did.
 """
 
 from __future__ import annotations
@@ -46,6 +56,13 @@ MAX_DOUBLINGS = 10**6
 _BLOCK = 16
 _PICKANDS_MAX_RESAMPLES = 100
 _BISECT_RTOL = 1e-10
+#: rows bisected together by the generic first passage
+_PASSAGE_BLOCK = 128
+#: relative width around a solved certification threshold within which an
+#: arrival is checked against the remainder bound itself
+_CERTIFY_BAND = 1e-6
+#: (arrival, point) pairs evaluated at once by IdtPath.values
+_SWEEP_PAIRS = 2**20
 
 
 @dataclass(frozen=True)
@@ -344,6 +361,83 @@ def _pickands_raw(mu: MixingMeasure, d, m, picked, rng):
 # ---------------------------------------------------------------------------
 
 
+class _PathSweep:
+    """Truncated paths of several rows, each evaluated at m points in one pass.
+
+    Entry r*m + j is the j-th point of row r, whose value at t is
+
+        H_r(t) = drift * t + sum_k -log F_k((gamma_k / t)-)
+
+    over the row's arrivals (gamma_k, F_k), and +oo from the row's pin time
+    on.  Each family's (arrival, entry) pairs go through one log_cdf call and
+    are summed per entry by bincount, in arrival order, so the value of an
+    entry does not depend on which other rows share the sweep.
+    """
+
+    def __init__(self, drift, families, gammas, comps, owners, pins, m):
+        self.drift = drift
+        self.pins = np.repeat(np.asarray(pins, dtype=float), m)
+        self.ids = np.arange(self.pins.size)
+        cols = np.arange(m)
+        self.groups = []
+        for ci, F in enumerate(families):
+            sel = comps == ci
+            if np.any(sel):
+                entries = (owners[sel] * m)[:, None] + cols
+                self.groups.append((F, np.repeat(gammas[sel], m), entries.ravel()))
+
+    def values(self, ts) -> np.ndarray:
+        """H at ts[e] for every entry e still held."""
+        total = self.drift * ts
+        with np.errstate(divide="ignore"):
+            for F, gammas, entries in self.groups:
+                logs = np.asarray(F.log_cdf(gammas / ts[entries], left=True))
+                total = total - np.bincount(entries, weights=logs,
+                                            minlength=ts.size)
+        return np.where(ts >= self.pins, np.inf, total)
+
+    def at(self, ts, ids) -> np.ndarray:
+        """H at ts for the entries ``ids``, a sorted subset of those held.
+
+        Entries outside ``ids`` are evaluated at t = 1 and discarded; once
+        they are the majority they are dropped from the sweep.
+        """
+        if 2 * ids.size <= self.ids.size:
+            keep = np.isin(self.ids, ids)
+            index = np.cumsum(keep) - 1
+            self.groups = [
+                (F, gammas[keep[entries]], index[entries[keep[entries]]])
+                for F, gammas, entries in self.groups
+            ]
+            self.pins, self.ids = self.pins[keep], self.ids[keep]
+        pos = np.searchsorted(self.ids, ids)
+        full = np.ones(self.ids.size)
+        full[pos] = ts
+        return self.values(full)[pos]
+
+
+def _bisect(evaluate, eta, t_hi) -> np.ndarray:
+    """First passage over ``eta`` of increasing paths with H(t_hi) > eta.
+
+    Per entry this is the bisection lo = 0, hi = t_hi, halving while
+    hi - lo > _BISECT_RTOL * hi (at most 200 times) and keeping H(hi) > eta;
+    it returns hi.  ``evaluate(ts, ids)`` gives H at ts for the open entries
+    ``ids``.
+    """
+    hi = np.array(t_hi, dtype=float)
+    lo = np.zeros_like(hi)
+    ids = np.arange(hi.size)
+    for _ in range(200):
+        ids = ids[hi[ids] - lo[ids] > _BISECT_RTOL * hi[ids]]
+        if ids.size == 0:
+            break
+        mid = 0.5 * (lo[ids] + hi[ids])
+        up = evaluate(mid, ids) > eta[ids]
+        hi[ids[up]] = mid[up]
+        lo[ids[~up]] = mid[~up]
+    return hi
+
+
 @dataclass(frozen=True)
 class IdtPath:
     """One truncated realization of a non-decreasing additive path.
@@ -372,121 +466,192 @@ class IdtPath:
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < 0.0) or np.any(ts > self.horizon * (1.0 + 1e-12)):
             raise ValueError("evaluation points must lie in [0, horizon]")
-        out = self.drift * ts
-        if not self.atoms:
-            return out
-        jumps = np.zeros_like(ts)
-        with np.errstate(divide="ignore"):
-            for gamma, F in self.atoms:
-                ratio = np.divide(gamma, ts, out=np.full_like(ts, np.inf),
-                                  where=ts > 0.0)
-                jumps = jumps - np.asarray(F.log_cdf(ratio, left=True))
-        return out + jumps
+        families = list(dict.fromkeys(F for _, F in self.atoms))
+        gammas = np.array([g for g, _ in self.atoms], dtype=float)
+        comps = np.array([families.index(F) for _, F in self.atoms], dtype=int)
+        pin = min((g / F.support_lower() for g, F in self.atoms
+                   if F.support_lower() > 0.0), default=math.inf)
+        flat = ts.ravel()
+        out = np.empty(flat.size)
+        # bound the (arrival, point) pairs held at once
+        step = max(1, _SWEEP_PAIRS // max(1, gammas.size))
+        for start in range(0, flat.size, step):
+            chunk = flat[start:start + step]
+            sweep = _PathSweep(self.drift, families, gammas, comps,
+                               np.zeros(gammas.size, dtype=int), [pin],
+                               chunk.size)
+            out[start:start + step] = sweep.values(chunk)
+        return out.reshape(ts.shape)
 
 
-class _PathBuilder:
-    """Mutable Poisson-series state with lazy, certified extension."""
+class _Series:
+    """What the rows of one batch share: the triplet, the tolerance and the
+    certification thresholds solved so far, one per horizon.
 
-    def __init__(self, triplet: IdtTriplet, rng):
+    A row's series is certified over [0, horizon] once its last arrival
+    reaches eff * median_max and the remainder bound
+
+        2 * intensity * eff * sum_i w_i tail_i(last / eff),  eff = min(horizon, pin),
+
+    is at most ``tol``.  The bound decreases in ``last``, so for an unpinned
+    row it is solved once per horizon for the arrival at which it crosses
+    ``tol``; arrivals within a relative ``_CERTIFY_BAND`` of that point are
+    checked against the bound itself, and pinned rows always are.
+    """
+
+    def __init__(self, triplet: IdtTriplet, tol: float):
         self.drift = triplet.b
         self.intensity = triplet.c
-        self.rng = rng
-        self.gammas: list[float] = []
-        self.comp_idx: list[int] = []
-        self.pin_time = math.inf
-        self.bound = math.inf
+        self.tol = tol
+        self._thresholds = {}
         if triplet.c > 0.0:
             self.weights, self.families = _mixture_arrays(triplet.mu)
             self.cum_weights = np.cumsum(self.weights)
             self.median_max = max(float(F.quantile(0.5)) for F in self.families)
             self.lowers = [F.support_lower() for F in self.families]
         else:
-            self.weights, self.families = np.ones(1), []
-            self.bound = 0.0
-        self._grouped = None
+            self.weights, self.families, self.lowers = np.ones(1), [], []
 
-    def certified(self, horizon: float, tol: float) -> bool:
+    def bound(self, eff: float, last: float) -> float:
+        """Expected omitted increment over [0, eff] after arrivals up to ``last``."""
         if self.intensity == 0.0:
-            self.bound = 0.0
+            return 0.0
+        return float(2.0 * self.intensity * eff
+                     * _mixture_tail(self.weights, self.families, last / eff))
+
+    def certified(self, horizon: float, pin: float, last: float) -> bool:
+        if self.intensity == 0.0:
             return True
-        eff = min(horizon, self.pin_time)
-        last = self.gammas[-1] if self.gammas else 0.0
+        eff = min(horizon, pin)
         if last < eff * self.median_max:
             return False
-        bound = float(
-            2.0 * self.intensity * eff
-            * _mixture_tail(self.weights, self.families, last / eff)
-        )
-        if bound <= tol:
-            self.bound = bound
-            return True
-        return False
+        if eff == horizon:
+            lo, hi = self._threshold(horizon)
+            if last >= hi:
+                return True
+            if last <= lo:
+                return False
+        return self.bound(eff, last) <= self.tol
 
-    def extend_to(self, horizon: float, tol: float) -> None:
-        while not self.certified(horizon, tol):
+    def _threshold(self, horizon: float):
+        """(lo, hi), hi / lo <= 1 + band: the bound exceeds tol at lo and
+        is at most tol at hi."""
+        cached = self._thresholds.get(horizon)
+        if cached is not None:
+            return cached
+        if self.bound(horizon, 0.0) <= self.tol:
+            cached = (-math.inf, 0.0)
+        else:
+            lo, hi = 0.0, horizon * max(self.median_max, 1.0)
+            while self.bound(horizon, hi) > self.tol:
+                lo, hi = hi, 2.0 * hi
+                if math.isinf(hi):
+                    raise ResourceError(
+                        f"path series cannot certify tol {self.tol:g} "
+                        f"over [0, {horizon:g}]", achieved_bound=math.inf)
+            for _ in range(200):
+                if hi <= lo * (1.0 + _CERTIFY_BAND):
+                    break
+                mid = 0.5 * (lo + hi)
+                if self.bound(horizon, mid) <= self.tol:
+                    hi = mid
+                else:
+                    lo = mid
+            expected = self.intensity * lo
+            if expected > 2.0 * MAX_ARRIVALS and max(self.lowers) == 0.0:
+                # no atom can pin the path, so about ``expected`` arrivals
+                # are needed: fail now instead of after MAX_ARRIVALS
+                raise ResourceError(
+                    f"path series needs about {expected:.3g} arrivals to "
+                    f"certify tol {self.tol:g} over [0, {horizon:g}] "
+                    f"(cap {MAX_ARRIVALS})",
+                    achieved_bound=self.bound(horizon,
+                                              MAX_ARRIVALS / self.intensity),
+                )
+            cached = (lo, hi)
+        self._thresholds[horizon] = cached
+        return cached
+
+
+class _PathBuilder:
+    """The Poisson arrivals of one row, extended lazily until certified."""
+
+    def __init__(self, series: _Series, rng):
+        self.series = series
+        self.rng = rng
+        self.gammas: list[float] = []
+        self.comp_idx: list[int] = []
+        self.pin_time = math.inf
+        self._values = {}  # H at bracket points, until the next arrival
+        self._sweep = None
+
+    def extend_to(self, horizon: float) -> None:
+        series = self.series
+        single = len(series.families) == 1
+        last = self.gammas[-1] if self.gammas else 0.0
+        while not series.certified(horizon, self.pin_time, last):
             if len(self.gammas) >= MAX_ARRIVALS:
                 raise ResourceError(
                     f"path series exceeded {MAX_ARRIVALS} arrivals",
-                    achieved_bound=self.bound,
+                    achieved_bound=self.bound(horizon),
                 )
             # arrivals carry the triplet's intensity as their Poisson rate
-            gamma = (self.gammas[-1] if self.gammas else 0.0) + float(
-                self.rng.exponential()
-            ) / self.intensity
-            if len(self.families) == 1:
+            last += float(self.rng.exponential()) / series.intensity
+            if single:
                 ci = 0
             else:
-                ci = int(np.searchsorted(self.cum_weights, self.rng.random(),
+                ci = int(np.searchsorted(series.cum_weights, self.rng.random(),
                                          side="left"))
-            self.gammas.append(gamma)
+            self.gammas.append(last)
             self.comp_idx.append(ci)
-            lower = self.lowers[ci]
+            lower = series.lowers[ci]
             if lower > 0.0:
-                self.pin_time = min(self.pin_time, gamma / lower)
-            self._grouped = None
+                self.pin_time = min(self.pin_time, last / lower)
+            self._values.clear()
+            self._sweep = None
 
-    def _groups(self):
-        if self._grouped is None:
-            gammas = np.asarray(self.gammas)
-            comp = np.asarray(self.comp_idx, dtype=int)
-            self._grouped = [
-                (F, gammas[comp == ci]) for ci, F in enumerate(self.families)
-                if np.any(comp == ci)
-            ]
-        return self._grouped
+    def bound(self, horizon: float) -> float:
+        """The remainder bound over [0, horizon] of the arrivals drawn so far."""
+        last = self.gammas[-1] if self.gammas else 0.0
+        return self.series.bound(min(horizon, self.pin_time), last)
 
     def value(self, t: float) -> float:
-        total = self.drift * t
-        if t <= 0.0 or self.intensity == 0.0:
-            return total
-        if t >= self.pin_time:
-            return math.inf
-        with np.errstate(divide="ignore"):
-            for F, gammas in self._groups():
-                total += float(
-                    -np.asarray(F.log_cdf(gammas / t, left=True)).sum()
-                )
-        return total
+        value = self._values.get(t)
+        if value is None:
+            if self._sweep is None:
+                self._sweep = _PathSweep(
+                    self.series.drift, self.series.families,
+                    np.array(self.gammas, dtype=float),
+                    np.array(self.comp_idx, dtype=int),
+                    np.zeros(len(self.gammas), dtype=int), [self.pin_time], 1)
+            value = float(self._sweep.values(np.array([t]))[0])
+            self._values[t] = value
+        return value
 
     def snapshot(self, horizon: float) -> IdtPath:
+        series = self.series
         atoms = tuple(
-            (float(g), self.families[ci])
+            (float(g), series.families[ci])
             for g, ci in zip(self.gammas, self.comp_idx)
         )
-        return IdtPath(self.drift, self.intensity, atoms, horizon, self.bound)
+        return IdtPath(series.drift, series.intensity, atoms, horizon,
+                       self.bound(horizon))
 
 
 def sample_idt_path(triplet: IdtTriplet, horizon: float, rng,
                     tol: float = 1e-3) -> IdtPath:
     """Sample one additive path, truncated with certified remainder <= tol
-    (in expectation) over [0, horizon]."""
+    (in expectation) over [0, horizon].
+
+    The series stops at the first arrival that certifies the bound.
+    """
     horizon = float(horizon)
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    builder = _PathBuilder(triplet, rng)
-    builder.extend_to(horizon, tol)
+    builder = _PathBuilder(_Series(triplet, tol), rng)
+    builder.extend_to(horizon)
     return builder.snapshot(horizon)
 
 
@@ -496,14 +661,31 @@ def sample_conditional_iid(triplet: IdtTriplet, d: int, rng,
 
     Requires the normalization b + c = 1 so the margins are unit exponential;
     in distribution the output matches sample_minstable of the corresponding
-    canonical model.
+    canonical model.  See sample_conditional_iid_batch for the routes and
+    the role of ``tol``.
     """
     return sample_conditional_iid_batch(triplet, d, 1, rng, tol)[0]
 
 
 def sample_conditional_iid_batch(triplet: IdtTriplet, d: int, n: int, rng,
                                  tol: float = 1e-3) -> np.ndarray:
-    """n first-passage vectors, shape (n, d).  See sample_conditional_iid."""
+    """n first-passage vectors, shape (n, d).  See sample_conditional_iid.
+
+    Routes, chosen from the triplet:
+
+    * pure drift (c = 0): iid unit exponentials;
+    * a single family with one positive atom: exact jump-by-jump passage;
+    * a single Frechet family: exact, H_t = b t + (c t)^(1/alpha) S with S
+      positive alpha-stable drawn by Kanter's representation; ``tol`` is
+      not used;
+    * anything else: each row draws its levels and doubles a horizon per
+      coordinate until the path, truncated with certified remainder <= tol,
+      exceeds the level; then every coordinate of a block of rows is
+      bisected at once on the row's final arrivals.
+
+    Outputs are deterministic given the generator's state; off the Frechet
+    route, row i does not depend on n.
+    """
     d, n = int(d), int(n)
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
@@ -525,12 +707,91 @@ def sample_conditional_iid_batch(triplet: IdtTriplet, d: int, n: int, rng,
                                           d, rng)
         return out
 
+    components = triplet.mu.components
+    if len(components) == 1 and isinstance(components[0][1], Frechet):
+        return _passage_frechet(triplet.b, triplet.c, components[0][1], d, n,
+                                rng)
+
+    series = _Series(triplet, tol)
     out = np.empty((n, d))
-    for i in range(n):
-        builder = _PathBuilder(triplet, rng)
-        etas = rng.exponential(size=d)
-        out[i] = [_first_passage(builder, eta, tol) for eta in etas]
+    for start in range(0, n, _PASSAGE_BLOCK):
+        rows = [_bracket_row(series, d, rng)
+                for _ in range(min(_PASSAGE_BLOCK, n - start))]
+        out[start:start + len(rows)] = _bisect_rows(series, rows, d)
     return out
+
+
+def _bracket_row(series: _Series, d: int, rng):
+    """Draw one row's levels and extend its path until each level is
+    bracketed: (builder, levels, t_hi) with H(t_hi) > level per coordinate."""
+    builder = _PathBuilder(series, rng)
+    etas = rng.exponential(size=d)
+    t_his = np.empty(d)
+    for k, eta in enumerate(etas):
+        t_hi = 1.0
+        builder.extend_to(t_hi)
+        doublings = 0
+        while builder.value(t_hi) <= eta:
+            doublings += 1
+            if doublings > MAX_DOUBLINGS or math.isinf(t_hi):
+                raise ResourceError(
+                    f"no passage after {doublings} horizon doublings",
+                    achieved_bound=builder.bound(t_hi),
+                )
+            t_hi *= 2.0
+            builder.extend_to(t_hi)
+        t_his[k] = t_hi
+    return builder, etas, t_his
+
+
+def _bisect_rows(series: _Series, rows, d: int) -> np.ndarray:
+    """Bisect every coordinate of the bracketed rows in one sweep."""
+    counts = [len(builder.gammas) for builder, _, _ in rows]
+    sweep = _PathSweep(
+        series.drift, series.families,
+        np.array([g for builder, _, _ in rows for g in builder.gammas]),
+        np.array([c for builder, _, _ in rows for c in builder.comp_idx],
+                 dtype=int),
+        np.repeat(np.arange(len(rows)), counts),
+        [builder.pin_time for builder, _, _ in rows], d,
+    )
+    etas = np.concatenate([etas for _, etas, _ in rows])
+    t_his = np.concatenate([t_his for _, _, t_his in rows])
+    return _bisect(sweep.at, etas, t_his).reshape(len(rows), d)
+
+
+def _passage_frechet(drift, intensity, F: Frechet, d, n, rng) -> np.ndarray:
+    """Exact first passage for a single Frechet family.
+
+    -log F(x) = c_F x^(-1/alpha), so the jumps add up to
+    t^(1/alpha) c_F sum_k gamma_k^(-1/alpha), and with the gammas arriving
+    at rate ``intensity`` the path is H_t = drift t + (intensity t)^(1/alpha) S
+    where S = c_F sum_k E_k^(-1/alpha) over a unit-rate Poisson process is
+    positive alpha-stable with Laplace transform exp(-lambda^alpha)
+    (c_F^alpha = 1/Gamma(1 - alpha)).  S is drawn by Kanter's (1975)
+    representation S = (A(U) / E)^((1 - alpha) / alpha) with U uniform on
+    (0, pi), E unit exponential and Zolotarev's function A.
+    """
+    a = F.alpha
+    etas = rng.exponential(size=(n, d))
+    u = np.pi * (1.0 - rng.random(n))  # in (0, pi]; the float pi is below pi
+    e = rng.exponential(size=n)
+    # (1 - a) log A(u), then log S
+    w = (a * np.log(np.sin(a * u)) + (1.0 - a) * np.log(np.sin((1.0 - a) * u))
+         - np.log(np.sin(u)))
+    log_s = (w - (1.0 - a) * np.log(e)) / a
+    # without drift, (intensity t)^(1/a) S = eta at t = (eta / S)^a / intensity
+    with np.errstate(divide="ignore"):
+        jump_only = np.exp(a * (np.log(etas) - log_s[:, None])) / intensity
+    if drift == 0.0:
+        return jump_only
+
+    def evaluate(ts, ids):
+        return drift * ts + np.exp(np.log(intensity * ts) / a + log_s[ids // d])
+
+    # each increasing term alone reaches eta no earlier than the sum does
+    t_hi = np.minimum(etas / drift, jump_only)
+    return _bisect(evaluate, etas.ravel(), t_hi.ravel()).reshape(n, d)
 
 
 def _single_jump_structure(triplet: IdtTriplet):
@@ -603,29 +864,3 @@ def _passage_single_jump(drift, intensity, location, size, d, rng):
             f"first passage exceeded {MAX_ARRIVALS} arrivals", achieved_bound=np.nan
         )
     return out
-
-
-def _first_passage(builder: _PathBuilder, eta: float, tol: float) -> float:
-    t_hi = 1.0
-    builder.extend_to(t_hi, tol)
-    doublings = 0
-    while builder.value(t_hi) <= eta:
-        doublings += 1
-        if doublings > MAX_DOUBLINGS or math.isinf(t_hi):
-            raise ResourceError(
-                f"no passage after {doublings} horizon doublings",
-                achieved_bound=builder.bound,
-            )
-        t_hi *= 2.0
-        builder.extend_to(t_hi, tol)
-    lo = 0.0
-    hi = t_hi
-    for _ in range(200):
-        if hi - lo <= _BISECT_RTOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if builder.value(mid) > eta:
-            hi = mid
-        else:
-            lo = mid
-    return hi

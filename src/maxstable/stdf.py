@@ -8,7 +8,8 @@ vectors, normalized to l(1,0,...) = 1 and satisfying
 with exp(-l(t)) the joint survival function of the associated min-stable
 exponential sequence.  Closed forms are dispatched per family; the generic
 path integrates 1 - prod_k F(s/t_k) by adaptive Gauss-Kronrod quadrature
-with a substituted tail piece (absolute tolerance 1e-9).
+with a substituted tail piece, as l(t) = m l(t/m) with m = max_k t_k
+(absolute tolerance 1e-9 for m >= 1, relative tolerance 1e-9 below).
 
 By convention s / 0 = oo and F(oo) = 1, so zero entries of t drop out, and
 the zero weight vector evaluates to 0.
@@ -83,7 +84,10 @@ def stdf_extremal(F: UnitMeanCdf, t, method: str = "auto") -> float:
     if method == "quadrature":
         return _stdf_quadrature(F, tt)
     if isinstance(F, Frechet):
-        return float(np.sum(tt ** (1.0 / F.alpha)) ** F.alpha)
+        # m (sum (t_k/m)^(1/alpha))^alpha with m = max t neither under- nor
+        # overflows at extreme scales of t
+        m = float(np.max(tt))
+        return m * float(np.sum((tt / m) ** (1.0 / F.alpha)) ** F.alpha)
     if isinstance(F, Dirac1):
         return float(np.max(tt))
     atoms = F.atom_values()
@@ -120,7 +124,11 @@ def _stdf_iid_exponential(tt: np.ndarray) -> float:
 
 
 def _stdf_quadrature(F: Cdf, tt: np.ndarray) -> float:
-    t_unique, counts = np.unique(tt, return_counts=True)
+    # l(t) = m l(t/m) with m = max t: the integrand's mass then sits on the
+    # scale the quadrature expects, and the tolerance, absolute for m >= 1,
+    # becomes relative below that
+    m = float(np.max(tt))
+    t_unique, counts = np.unique(tt / m, return_counts=True)
     powers = counts.astype(float)
 
     def integrand(s: float) -> float:
@@ -129,15 +137,14 @@ def _stdf_quadrature(F: Cdf, tt: np.ndarray) -> float:
         total = float(powers @ logs)
         return -math.expm1(total)
 
-    t_max = float(t_unique[-1])
-    upper = F.support_upper() * t_max
-    scale = t_max * max(float(F.quantile(0.999)), 1.0)
+    upper = F.support_upper()
+    scale = max(float(F.quantile(0.999)), 1.0)
     atoms = F.atom_values()
     breaks = ()
     if atoms is not None:
         breaks = np.unique(np.outer(atoms[0], t_unique).ravel())
-    return tail_quad(integrand, 0.0, scale, upper=upper, breakpoints=breaks,
-                     abs_tol=_QUAD_TOL)
+    return m * tail_quad(integrand, 0.0, scale, upper=upper,
+                         breakpoints=breaks, abs_tol=_QUAD_TOL / max(m, 1.0))
 
 
 def stdf_canonical(model: CanonicalModel, t, method: str = "auto") -> float:

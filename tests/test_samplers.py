@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from maxstable import samplers
 from maxstable import (
     CanonicalModel,
     Dirac1,
+    Discrete,
     Frechet,
     IdtTriplet,
     MixingMeasure,
     PickandsSample,
+    ResourceError,
     TwoPoint,
     UnitExponential,
     sample_conditional_iid,
@@ -339,3 +342,96 @@ def test_conditional_iid_determinism():
     y1 = sample_conditional_iid_batch(tr, 3, 100, np.random.default_rng(48))
     y2 = sample_conditional_iid_batch(tr, 3, 100, np.random.default_rng(48))
     assert np.array_equal(y1, y2)
+
+
+@pytest.mark.parametrize("b, c, alpha", [(0.0, 1.0, 0.95), (0.9, 0.1, 0.5),
+                                         (0.3, 0.7, 0.8)])
+def test_conditional_iid_frechet_exact(b, c, alpha):
+    # the stable-frailty route: no series, so even alpha near 1 is cheap
+    tr = IdtTriplet(b, c, MixingMeasure.point(Frechet(alpha)))
+    n = 10_000
+    y = sample_conditional_iid_batch(tr, 2, n, np.random.default_rng(49))
+    model = tr.to_canonical()
+    for t in ([0.5, 0.5], [1.0, 0.3], [2.0, 1.5]):
+        assert abs(survival_z(y, t, model)) <= 4.0
+    se = 1.0 / math.sqrt(n)
+    assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
+
+
+def test_conditional_iid_frechet_ignores_tol():
+    tr = IdtTriplet(0.3, 0.7, MixingMeasure.point(Frechet(0.8)))
+    y1 = sample_conditional_iid_batch(tr, 3, 50, np.random.default_rng(50), tol=0.5)
+    y2 = sample_conditional_iid_batch(tr, 3, 50, np.random.default_rng(50), tol=1e-9)
+    assert np.array_equal(y1, y2)
+
+
+def test_conditional_iid_mixture_with_pinned_paths():
+    # the Discrete atom at 0.5 lies below the support, so paths pin to +oo
+    # and the bisection sweep has to honour each row's pin time
+    mu = MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
+                        (0.5, UnitExponential())])
+    tr = IdtTriplet(0.2, 0.8, mu)
+    n = 4_000
+    y = sample_conditional_iid_batch(tr, 2, n, np.random.default_rng(51))
+    model = tr.to_canonical()
+    for t in ([0.5, 0.5], [1.0, 0.3], [1.5, 1.5]):
+        assert abs(survival_z(y, t, model)) <= 4.0
+    se = 1.0 / math.sqrt(n)
+    assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
+
+
+def test_conditional_iid_rows_do_not_depend_on_n():
+    # rows are bisected in blocks; a row's value must not depend on its block
+    tr = IdtTriplet(0.0, 1.0, MixingMeasure.point(UnitExponential()))
+    long = sample_conditional_iid_batch(tr, 2, 1000, np.random.default_rng(52))
+    short = sample_conditional_iid_batch(tr, 2, 300, np.random.default_rng(52))
+    assert np.array_equal(long[:300], short)
+
+
+@pytest.mark.parametrize("F", [UnitExponential(), tilt(UnitExponential(), 2.0)])
+def test_path_stops_at_first_certifying_arrival(F):
+    tr = IdtTriplet(0.0, 1.0, MixingMeasure.point(F))
+    horizon, tol = 2.0, 1e-3
+    median = float(F.quantile(0.5))
+    for seed in range(20):
+        path = sample_idt_path(tr, horizon, np.random.default_rng(seed), tol)
+        gammas = [g for g, _ in path.atoms]
+        assert gammas[-1] >= horizon * median
+        assert path.truncation_bound <= tol
+        before = 2.0 * horizon * float(F.tail_integral(gammas[-2] / horizon))
+        assert gammas[-2] < horizon * median or before > tol
+
+
+def test_path_uncertifiable_tail_raises_quickly():
+    # Frechet(0.95) tails would need ~1e54 arrivals: refuse before drawing them
+    mu = MixingMeasure([(0.5, Frechet(0.95)), (0.5, UnitExponential())])
+    tr = IdtTriplet(0.1, 0.9, mu)
+    with pytest.raises(ResourceError):
+        sample_idt_path(tr, 1.0, np.random.default_rng(53))
+    with pytest.raises(ResourceError):
+        sample_conditional_iid_batch(tr, 2, 5, np.random.default_rng(53))
+
+
+def test_conditional_iid_sweep_matches_scalar_bisection():
+    # reference: bisect each coordinate alone with scalar evaluations of the
+    # row's final path, as the per-row loop did
+    mu = MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
+                        (0.5, UnitExponential())])
+    tr = IdtTriplet(0.2, 0.8, mu)
+    d, n, tol = 3, 200, 1e-3
+    y = sample_conditional_iid_batch(tr, d, n, np.random.default_rng(54), tol)
+    rng = np.random.default_rng(54)
+    series = samplers._Series(tr, tol)
+    for i in range(n):
+        builder, etas, t_his = samplers._bracket_row(series, d, rng)
+        for k in range(d):
+            lo, hi = 0.0, t_his[k]
+            for _ in range(200):
+                if hi - lo <= 1e-10 * hi:
+                    break
+                mid = 0.5 * (lo + hi)
+                if builder.value(mid) > etas[k]:
+                    hi = mid
+                else:
+                    lo = mid
+            assert y[i, k] == pytest.approx(hi, rel=1e-9)

@@ -333,3 +333,34 @@ def test_unit_exponential_inclusion_exclusion_closed_form():
 def test_numeric_error_carries_achieved_tolerance():
     err = NumericError("boom", achieved=3e-8)
     assert err.achieved == 3e-8
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_logistic_closed_form_extreme_scales(c):
+    t = np.array([1.0, 2.0, 0.5])
+    F = Frechet(0.5)
+    assert stdf_extremal(F, c * t) == pytest.approx(c * stdf_extremal(F, t),
+                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-6])
+def test_quadrature_tiny_scale_is_homogeneous(c):
+    t = np.array([1.0, 2.0, 0.5])
+    F = tilt(UnitExponential(), 2.0)
+    assert stdf_extremal(F, c * t) == pytest.approx(c * stdf_extremal(F, t),
+                                                    rel=1e-9)
+
+
+def test_quadrature_large_scale_raises():
+    with pytest.raises(NumericError):
+        stdf_extremal(tilt(UnitExponential(), 2.0), 1e6 * np.array([1.0, 2.0, 0.5]))
+
+
+def test_copula_near_one_respects_upper_bound():
+    u = np.array([0.99999, 0.99999])
+    model = point_model(tilt(UnitExponential(), 2.0))
+    value = copula(model, u)
+    assert float(np.prod(u)) <= value <= u.min()
+    t = -math.log(0.99999)
+    expected = math.exp(-t * stdf_canonical(model, [1.0, 1.0]))
+    assert value == pytest.approx(expected, abs=1e-13)
