@@ -3,7 +3,7 @@
 Models are pairs (b, mu) of an independence weight and a finite mixture of
 unit-mean distribution families.  The package evaluates the associated
 stable tail dependence functions and extreme-value copulas, samples the
-corresponding random vectors and non-decreasing additive paths with
+corresponding random vectors exactly and non-decreasing additive paths with
 certified truncation, and cross-checks samplers against the analytic
 evaluators by seeded Monte Carlo.
 """

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,13 +22,12 @@ from .samplers import (
 )
 from .stdf import weight_vector
 from .verify import (
+    _run_chunks,
     mc_margin_check,
     mc_pickands_check,
     mc_survival_check,
     reports_to_csv,
 )
-
-_CHUNK = 8192
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,27 +52,11 @@ def _parse_t(text: str) -> np.ndarray:
         raise SpecError(f"field 't': {exc}") from exc
 
 
-def _fmt(value: float) -> str:
-    value = float(value)
-    if np.isinf(value):
-        return "inf"
-    return repr(value)
-
-
-def _chunk_rows(total: int, rng, chunk_fn, workers: int):
-    """Generate CSV rows chunk by chunk; layout is independent of workers."""
-    sizes = [_CHUNK] * (total // _CHUNK)
-    if total % _CHUNK:
-        sizes.append(total % _CHUNK)
-    children = rng.spawn(len(sizes))
-    if workers <= 1:
-        blocks = [chunk_fn(child, size) for child, size in zip(children, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(chunk_fn, children, sizes))
-    for block in blocks:
-        for row in block:
-            yield ",".join(_fmt(v) for v in row)
+def _print_rows(rows, out) -> None:
+    """One CSV line per row; repr of a Python float (hence ``tolist``:
+    numpy 2 writes np.float64(...)) round-trips and prints inf as ``inf``."""
+    for row in rows.tolist():
+        print(",".join(map(repr, row)), file=out)
 
 
 def _cmd_eval(args, out) -> int:
@@ -89,39 +71,32 @@ def _cmd_eval(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_sample(args, out) -> int:
+def _sample_csv(args, out, prefix: str, draw) -> int:
+    """Header prefix1..prefixd, then the rows of draw(model, d, size, child)
+    over the chunks of _run_chunks."""
     spec = parse_model(_read_spec(args.spec))
     if args.dump_spec:
         print(dump_model(spec), file=out)
         return EXIT_OK
     model = spec.require_canonical()
     rng = np.random.default_rng(args.seed)
-    print(",".join(f"y{i + 1}" for i in range(args.d)), file=out)
+    print(",".join(f"{prefix}{i + 1}" for i in range(args.d)), file=out)
 
     def chunk(child, size):
-        return sample_minstable_batch(model, args.d, size, child, args.tol)
+        return draw(model, args.d, size, child)
 
-    for row in _chunk_rows(args.n, rng, chunk, args.workers):
-        print(row, file=out)
+    for block in _run_chunks(rng, args.n, chunk, args.workers):
+        _print_rows(block, out)
     return EXIT_OK
+
+
+def _cmd_sample(args, out) -> int:
+    return _sample_csv(args, out, "y", sample_minstable_batch)
 
 
 def _cmd_pickands(args, out) -> int:
-    spec = parse_model(_read_spec(args.spec))
-    if args.dump_spec:
-        print(dump_model(spec), file=out)
-        return EXIT_OK
-    model = spec.require_canonical()
-    rng = np.random.default_rng(args.seed)
-    print(",".join(f"x{i + 1}" for i in range(args.d)), file=out)
-
-    def chunk(child, size):
-        coords, _ = sample_pickands_batch(model, args.d, size, child)
-        return coords
-
-    for row in _chunk_rows(args.n, rng, chunk, args.workers):
-        print(row, file=out)
-    return EXIT_OK
+    return _sample_csv(args, out, "x",
+                       lambda *draw_args: sample_pickands_batch(*draw_args)[0])
 
 
 def _cmd_verify(args, out) -> int:
@@ -136,11 +111,11 @@ def _cmd_verify(args, out) -> int:
     rng = np.random.default_rng(args.seed)
     reports = [
         mc_survival_check(model, t, args.n, rng, z_threshold=args.z_threshold,
-                          tol=args.tol, workers=args.workers),
+                          workers=args.workers),
         mc_pickands_check(model, t, args.n, rng, z_threshold=args.z_threshold,
                           workers=args.workers),
         mc_margin_check(model, args.n, rng, z_threshold=args.z_threshold,
-                        tol=args.tol, workers=args.workers),
+                        workers=args.workers),
     ]
     print(reports_to_csv(reports), end="", file=out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
@@ -158,9 +133,7 @@ def _cmd_path(args, out) -> int:
     rng = np.random.default_rng(args.seed)
     path = sample_idt_path(triplet, args.horizon, rng, args.tol)
     ts = np.linspace(0.0, args.horizon, args.grid)
-    values = path.values(ts)
-    for t, h in zip(ts, values):
-        print(f"{_fmt(t)},{_fmt(h)}", file=out)
+    _print_rows(np.column_stack([ts, path.values(ts)]), out)
     return EXIT_OK
 
 
@@ -180,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         if sampling:
             p.add_argument("--n", type=int, default=1, help="number of samples")
             p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-            p.add_argument("--tol", type=float, default=1e-3,
-                           help="truncation tolerance")
             p.add_argument("--workers", type=int, default=1,
                            help="worker threads (output is invariant to this)")
         if horizon:

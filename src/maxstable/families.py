@@ -12,8 +12,9 @@ from them.  Each family exposes the same surface:
 * ``sample_size_biased(rng)`` -- draw from t -> int_0^t s dF(s).
 
 Closed forms are used wherever the family admits one; the generic fallbacks
-go through adaptive Gauss-Kronrod quadrature and monotone bisection.  All
-objects are immutable after construction and safe to share across threads.
+go through adaptive Gauss-Kronrod quadrature, monotone bisection and a
+size-biased table cached by the first draw.  Objects are otherwise immutable
+after construction, and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -114,13 +115,18 @@ class Cdf:
         return self.quantile(u)
 
     def sample_size_biased(self, rng, size=None):
-        """Sample from the size-biased distribution t -> int_0^t s dF(s) / mean."""
-        if size is None:
-            return self._size_biased_inverse(1.0 - rng.random())
-        u = 1.0 - rng.random(size)
-        return np.array([self._size_biased_inverse(v) for v in np.ravel(u)]).reshape(
-            np.shape(u)
-        )
+        """Sample from the size-biased distribution t -> int_0^t s dF(s) / mean.
+
+        Inverts a table of int_0^x (1 - F) that the first draw builds
+        (see _SizeBiasedTable).
+        """
+        u = 1.0 - (rng.random() if size is None else rng.random(size))
+        table = getattr(self, "_size_biased_table", None)
+        if table is None:
+            # a race between threads only builds the same table twice
+            table = self._size_biased_table = _SizeBiasedTable(self)
+        out = table.inverse(np.ravel(u))
+        return float(out[0]) if size is None else out.reshape(np.shape(u))
 
     # -- internals ------------------------------------------------------
 
@@ -159,6 +165,98 @@ class Cdf:
         kind, *params = self._key()
         inner = ", ".join(repr(p) for p in params)
         return f"{type(self).__name__}({inner})"
+
+
+#: geometric nodes of a size-biased table
+_TABLE_NODES = 1000
+#: 5-point Gauss-Legendre rule on [0, 1] in closed form (leggauss would call
+#: LAPACK, whose workspace then stays resident)
+_GL_X = 0.5 + np.array([-1, -1, 0, 1, 1]) * np.sqrt(
+    5.0 + 2.0 * np.array([1, -1, 0, -1, 1]) * math.sqrt(10.0 / 7.0)) / 6.0
+_GL_W = (np.array([322, 322, 512, 322, 322])
+         + 13.0 * np.array([-1, 1, 0, 1, -1]) * math.sqrt(70.0)) / 1800.0
+#: secant steps and relative bracket width at which a table inverse stops
+_SECANT_STEPS = 100
+_SECANT_RTOL = 1e-15
+
+
+class _SizeBiasedTable:
+    """Inverse of the size-biased cdf G(t) = (C(t) - t (1 - F(t))) / mean
+    of one family, where C(t) = int_0^t (1 - F).
+
+    C is tabulated at 0, at _TABLE_NODES geometric nodes between the 1e-15
+    and 1 - 1e-15 quantiles and at the atoms, by one 5-point
+    Gauss-Legendre panel per interval; atoms are nodes because the rule is
+    wrong across a jump.  A value u is placed between two nodes by
+    searchsorted, and an Illinois secant solves G(t) = u between them, with
+    C(t) from a Gauss-Legendre panel over [node, t]; the secant keeps the
+    upper end, so u in the jump of G at an atom returns the atom.  Values
+    above G at the last node (probability ~1e-14) go to the scalar inverse.
+    """
+
+    def __init__(self, F: Cdf):
+        self.F = F
+        hi = float(F.quantile(1.0 - 1e-15))
+        lo = float(F.quantile(1e-15))
+        if not lo > 0.0:
+            lo = 1e-15 * hi
+        nodes = [[0.0], np.geomspace(lo, hi, _TABLE_NODES)]
+        atoms = F.atom_values()
+        if atoms is not None:
+            nodes.append(atoms[0][(atoms[0] > 0.0) & (atoms[0] < hi)])
+        self.nodes = np.unique(np.concatenate(nodes))
+        self.c = np.concatenate([[0.0], np.cumsum(
+            self._panel(self.nodes[:-1], self.nodes[1:]))])
+        self.mean = F.mean()
+        # rounding must not unsort the nodes' values for searchsorted
+        self.g = np.maximum.accumulate(self._g(self.nodes, self.c))
+
+    def _panel(self, a, b):
+        """int_a^b (1 - F), one Gauss-Legendre rule per entry."""
+        width = b - a
+        points = a[:, None] + width[:, None] * _GL_X
+        return width * (-np.expm1(self.F.log_cdf(points)) @ _GL_W)
+
+    def _g(self, t, c):
+        """G(t), given c = C(t)."""
+        return (c + t * np.expm1(self.F.log_cdf(t))) / self.mean
+
+    def inverse(self, u) -> np.ndarray:
+        """inf{t : G(t) >= u} for each u in (0, 1]."""
+        out = np.empty(u.size)
+        i = np.searchsorted(self.g, u, side="left")  # g[i - 1] < u <= g[i]
+        beyond = i >= self.nodes.size
+        out[beyond] = [self.F._size_biased_inverse(v) for v in u[beyond]]
+        out[~beyond] = self._secant(u[~beyond], i[~beyond])
+        return out
+
+    def _secant(self, u, i):
+        """Illinois secant for inf{t : G(t) >= u} on (nodes[i - 1], nodes[i]],
+        where G(nodes[i - 1]) < u <= G(nodes[i]) and G is continuous but for
+        a jump at nodes[i] if it is an atom."""
+        a, b = self.nodes[i - 1], self.nodes[i]
+        fa, fb = self.g[i - 1] - u, self.g[i] - u
+        c_a = self.c[i - 1]
+        last = np.zeros(u.size)  # +1 if the last step moved b, -1 if a
+        for _ in range(_SECANT_STEPS):
+            live = np.nonzero((b - a > _SECANT_RTOL * b) & (fb > 0.0))[0]
+            if live.size == 0:
+                break
+            al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+            t = bl - fbl * (bl - al) / (fbl - fal)
+            # rounding can put t on an end; bisect then
+            t = np.where((t > al) & (t < bl), t, 0.5 * (al + bl))
+            c_t = c_a[live] + self._panel(al, t)
+            ft = self._g(t, c_t) - u[live]
+            up = ft >= 0.0
+            lb, la = live[up], live[~up]
+            # Illinois: an end kept twice in a row has its value halved
+            fa[lb[last[lb] == 1.0]] *= 0.5
+            fb[la[last[la] == -1.0]] *= 0.5
+            b[lb], fb[lb] = t[up], ft[up]
+            a[la], fa[la], c_a[la] = t[~up], ft[~up], c_t[~up]
+            last[lb], last[la] = 1.0, -1.0
+        return b
 
 
 class UnitMeanCdf(Cdf):
@@ -245,11 +343,11 @@ class Frechet(UnitMeanCdf):
         return float(_frechet_tail(z * self.c, self.alpha, np.asarray(a, dtype=float)))
 
     def sample_size_biased(self, rng, size=None):
-        # size-biased cdf is gammaincc(1-alpha, c t^(-1/alpha)); invert exactly
-        u = rng.random() if size is None else rng.random(size)
-        u = np.maximum(u, np.ldexp(1.0, -53))
-        v = special.gammainccinv(1.0 - self.alpha, u)
-        out = (self.c / v) ** self.alpha
+        # V = c X^(-1/alpha) is unit exponential under F, so under x dF(x)
+        # it is Gamma(1 - alpha)
+        v = rng.standard_gamma(1.0 - self.alpha, size=size)
+        with np.errstate(divide="ignore"):
+            out = (self.c / v) ** self.alpha
         return float(out) if size is None else out
 
     def _key(self):

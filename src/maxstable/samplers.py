@@ -1,18 +1,16 @@
 """Samplers: min-stable sequences, simplex vectors, additive paths, first passage.
 
 All samplers take an explicit numpy Generator and are deterministic given
-its state.  The two Poisson-series constructions are truncated with
-certified bounds:
+its state.
 
-* the triangular minimum construction stops once the expected number of
-  future arrivals that could still lower any running coordinate minimum is
-  below ``tol`` (by Markov's inequality this bounds the probability that a
-  returned coordinate exceeds its untruncated value);
-* the additive-path series stops once the expected omitted increment over
-  the requested horizon is below ``tol``, using the envelope
-  -log F(u-) <= 2 (1 - F(u-)) valid above the median; families with bounded
-  support terminate exactly, and atoms below the support infimum pin the
-  path to +oo from the corresponding time onward.
+The minimum construction is exact: a single Frechet family draws its
+stable frailty, every other mixture is simulated by extremal functions, and
+no truncation is involved.  Only the additive-path series is truncated, and
+only it and first passage take ``tol``: the series stops once the expected
+omitted increment over the requested horizon is below ``tol``, using the
+envelope -log F(u-) <= 2 (1 - F(u-)) valid above the median; families with
+bounded support terminate exactly, and atoms below the support infimum pin
+the path to +oo from the corresponding time onward.
 
 First passage Y_k = inf{t : H_t > eta_k} is exact for pure drift, for a
 single family with one positive atom and for a single Frechet family; the
@@ -48,12 +46,10 @@ __all__ = [
     "sample_conditional_iid_batch",
 ]
 
-#: hard cap on Poisson arrivals per sample / per path
+#: hard cap on Poisson arrivals per sample coordinate / per path
 MAX_ARRIVALS = 10**7
 #: hard cap on first-passage bracket doublings
 MAX_DOUBLINGS = 10**6
-#: arrivals drawn per vectorized block in the batch minimum construction
-_BLOCK = 16
 _PICKANDS_MAX_RESAMPLES = 100
 _BISECT_RTOL = 1e-10
 #: rows bisected together by the generic first passage
@@ -95,193 +91,78 @@ def _mixture_tail(weights, families, a):
 
 
 # ---------------------------------------------------------------------------
-# minimum construction over a triangular Poisson array
+# exact minimum construction by extremal functions
 # ---------------------------------------------------------------------------
 
 
-def sample_minstable(model: CanonicalModel, d: int, rng, tol: float = 1e-3):
-    """One realization of (Y_1, ..., Y_d) with survival exp(-l(t)).
+def sample_minstable(model: CanonicalModel, d: int, rng):
+    """One realization of (Y_1, ..., Y_d) with survival exp(-l(t)); exact."""
+    return sample_minstable_batch(model, d, 1, rng)[0]
 
-    ``tol`` bounds the probability that any returned coordinate exceeds its
-    value in the untruncated construction.
+
+def sample_minstable_batch(model: CanonicalModel, d: int, n: int,
+                           rng) -> np.ndarray:
+    """n independent realizations, shape (n, d).  See sample_minstable.
+
+    Y = min(E / b, Z / (1 - b)) with E iid unit exponentials and
+    Z_k = min_j gamma_j / X_jk over a unit-rate Poisson process whose
+    arrivals carry iid vectors X_j: a family drawn from mu, then d iid
+    values of it.  A single Frechet family draws Z by its stable frailty
+    (_passage_frechet); every other mixture by extremal functions.
     """
-    return sample_minstable_batch(model, d, 1, rng, tol)[0]
-
-
-def sample_minstable_batch(model: CanonicalModel, d: int, n: int, rng,
-                           tol: float = 1e-3) -> np.ndarray:
-    """n independent realizations, shape (n, d).  See sample_minstable."""
     d, n = int(d), int(n)
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if model.b == 1.0:
         return rng.exponential(size=(n, d))
-    extremal = _extremal_minimum_batch(model.mu, d, n, rng, tol)
+    components = model.mu.components
+    if len(components) == 1 and isinstance(components[0][1], Frechet):
+        # Z is the first passage of the triplet (0, 1, mu)
+        extremal = _passage_frechet(0.0, 1.0, components[0][1], d, n, rng)
+    else:
+        extremal = _extremal_minimum_batch(model.mu, d, n, rng)
     if model.b == 0.0:
         return extremal
     independent = rng.exponential(size=(n, d))
     return np.minimum(independent / model.b, extremal / (1.0 - model.b))
 
 
-def _extremal_minimum_batch(mu: MixingMeasure, d: int, n: int, rng,
-                            tol: float) -> np.ndarray:
-    weights, families = _mixture_arrays(mu)
-    if len(families) == 1 and isinstance(families[0], Frechet):
-        # the product prod_k F(u/m_k) is again a Frechet cdf, so the
-        # arrivals that lower some minimum can be generated directly:
-        # the construction becomes exact and needs no truncation
-        return _extremal_minimum_frechet(families[0], d, n, rng)
-    cum_weights = np.cumsum(weights)
-    single = len(families) == 1
+def _extremal_minimum_batch(mu: MixingMeasure, d: int, n: int,
+                            rng) -> np.ndarray:
+    """Exact Z by extremal functions (Dombry, Engelke & Oesting 2016).
 
-    gamma = np.zeros(n)
+    For each coordinate k the arrivals gamma < Z_k are walked in order.
+    Each carries a vector X from the k-th extremal-function law: the family
+    drawn from mu, slot k size-biased and the other slots iid
+    (_pickands_raw).  Its candidate gamma * X_k / X is dropped if it
+    undercuts some Z_j, j < k, because the walk over coordinate j has
+    already met every arrival that lowers Z_j; otherwise it lowers Z.  A
+    row draws d vectors on average.
+    """
     minima = np.full((n, d), np.inf)
-    active = np.arange(n)
-    arrivals = 0
-
-    while active.size:
-        if arrivals > MAX_ARRIVALS:
-            raise ResourceError(
-                f"minimum construction exceeded {MAX_ARRIVALS} arrivals",
-                achieved_bound=float(np.max(_minimum_stop_bound(
-                    weights, families, gamma[active], minima[active]))),
-            )
-        na = active.size
-        increments = rng.exponential(size=(na, _BLOCK))
-        arrival_times = gamma[active, None] + np.cumsum(increments, axis=1)
-        u = rng.random((na, _BLOCK, d))
-        if single:
-            x = np.asarray(families[0].quantile(u))
-        else:
-            comp = np.searchsorted(cum_weights, rng.random((na, _BLOCK)),
-                                   side="left")
-            x = np.empty((na, _BLOCK, d))
-            for ci, F in enumerate(families):
-                mask = comp == ci
-                if np.any(mask):
-                    x[mask] = F.quantile(u[mask])
-        with np.errstate(divide="ignore"):
-            candidate = (arrival_times[:, :, None] / x).min(axis=1)
-        minima[active] = np.minimum(minima[active], candidate)
-        gamma[active] = arrival_times[:, -1]
-        arrivals += _BLOCK
-
-        bound = _minimum_stop_bound(weights, families, gamma[active],
-                                    minima[active])
-        active = active[bound > tol]
-    return minima
-
-
-def _minimum_stop_bound(weights, families, gamma, minima):
-    # expected number of future arrivals that can lower some coordinate:
-    # sum_k sum_i w_i m_k tail_i(gamma / m_k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = gamma[:, None] / minima
-        terms = minima * _mixture_tail(weights, families, ratio)
-        terms = np.where(np.isnan(terms), np.inf, terms)
-    return terms.sum(axis=1)
-
-
-def _extremal_minimum_frechet(F: Frechet, d: int, n: int, rng) -> np.ndarray:
-    """Exact minimum construction for a pure Frechet mixture via thinning.
-
-    Conditional on the running minima m, future arrivals lower a coordinate
-    with rate 1 - prod_k F(u/m_k) = 1 - F(u/M), M = (sum_k m_k^(1/a))^a, in
-    the arrival variable u.  The thinned event times are drawn by inverting
-    the integrated rate; marks are drawn conditioned on at least one
-    coordinate exceedance via the first-exceeding-coordinate decomposition.
-    """
-    inv_alpha = 1.0 / F.alpha
-
-    # the first arrival updates every coordinate
-    gamma = rng.exponential(size=n)
-    x = np.asarray(F.quantile(rng.random((n, d))))
-    with np.errstate(divide="ignore"):
-        minima = gamma[:, None] / x
-
-    active = np.arange(n)
-    while active.size:
-        m_act = minima[active]
-        g_act = gamma[active]
-        bad = ~np.all(np.isfinite(m_act), axis=1)
-        if np.any(bad):
-            # measure-zero guard (a quantile hit 0): take one plain arrival
-            rows = active[bad]
-            gamma[rows] += rng.exponential(size=rows.size)
-            x = np.asarray(F.quantile(rng.random((rows.size, d))))
+    for k in range(d):
+        gamma = rng.exponential(size=n)
+        rows = np.nonzero(gamma < minima[:, k])[0]
+        arrivals = 0
+        while rows.size:
+            if arrivals >= MAX_ARRIVALS:
+                raise ResourceError(
+                    f"minimum construction exceeded {MAX_ARRIVALS} arrivals "
+                    f"in coordinate {k}", achieved_bound=float(rows.size))
+            x = _pickands_raw(mu, d, rows.size, np.full(rows.size, k), rng)
+            g = gamma[rows]
             with np.errstate(divide="ignore"):
-                minima[rows] = np.minimum(minima[rows],
-                                          gamma[rows, None] / x)
-            continue
-
-        scale = np.sum(m_act ** inv_alpha, axis=1) ** F.alpha
-        remaining = scale * F.tail_integral(g_act / scale)
-        budget = rng.exponential(size=active.size)
-        alive = budget < remaining
-        if not np.any(alive):
-            break
-        rows = active[alive]
-        target = F.tail_integral(g_act[alive] / scale[alive]) \
-            - budget[alive] / scale[alive]
-        s = scale[alive] * _frechet_tail_inverse(F, g_act[alive] / scale[alive],
-                                                 target)
-        gamma[rows] = s
-        minima[rows] = _conditional_exceedance_update(F, minima[rows], s, rng)
-        active = rows
+                candidate = (g * x[:, k])[:, None] / x
+            candidate[:, k] = g
+            current = minima[rows]
+            keep = ~np.any(candidate[:, :k] < current[:, :k], axis=1)
+            minima[rows[keep]] = np.minimum(current[keep], candidate[keep])
+            gamma[rows] = g + rng.exponential(size=rows.size)
+            rows = rows[gamma[rows] < minima[rows, k]]
+            arrivals += 1
     return minima
-
-
-def _frechet_tail_inverse(F: Frechet, a0, target):
-    """Solve tail_integral(a) = target for a >= a0 by monotone Newton.
-
-    The tail integral is convex and decreasing, so the iterates increase
-    monotonically towards the root.
-    """
-    a = np.array(a0, dtype=float)
-    for _ in range(60):
-        resid = F.tail_integral(a) - target
-        slope = -np.expm1(np.asarray(F.log_cdf(a)))  # 1 - F(a) = -tail'
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = np.where(slope > 0.0, resid / slope, 0.0)
-        a = a + step
-        if np.all(step <= 1e-13 * a):
-            break
-    return a
-
-
-def _conditional_exceedance_update(F: Frechet, minima, s, rng):
-    """Redraw marks at event time s conditioned on some coordinate exceeding
-    its threshold a_k = s / m_k, then update the running minima."""
-    m, d = minima.shape
-    thresholds = s[:, None] / minima
-    cdf_at = np.asarray(F.cdf(thresholds))
-    survival_at = -np.expm1(np.asarray(F.log_cdf(thresholds)))
-    # P(first exceeding coordinate is k) ~ prod_{j<k} F(a_j) * (1 - F(a_k))
-    prefix = np.cumprod(cdf_at, axis=1)
-    shifted = np.concatenate([np.ones((m, 1)), prefix[:, :-1]], axis=1)
-    probs = shifted * survival_at
-    total = probs.sum(axis=1, keepdims=True)
-    first = (np.cumsum(probs, axis=1) < rng.random((m, 1)) * total).sum(axis=1)
-    first = np.minimum(first, d - 1)
-
-    u = rng.random((m, d))
-    cols = np.arange(d)
-    before = cols[None, :] < first[:, None]
-    at = cols[None, :] == first[:, None]
-    # truncated below-threshold draws for j < K, free draws after
-    p = np.where(before, u * cdf_at, u)
-    with np.errstate(divide="ignore"):
-        x = np.asarray(F.quantile(p))
-        # the exceedance at K in survival space (exact where F(a_K) ~ 1)
-        over = (F.c / -np.log1p(-survival_at * (1.0 - u))) ** F.alpha
-        x = np.where(at, over, x)
-        updated = np.minimum(minima, s[:, None] / x)
-    # degenerate event (all survivals underflow): leave the row unchanged
-    return np.where(total > 0.0, updated, minima)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,8 @@ def _z_score(empirical: float, exact: float, se: float) -> float:
 
 
 def _run_chunks(rng, n: int, chunk_fn, workers: int):
+    """chunk_fn(child, size) per chunk of at most _CHUNK rows, in order; each
+    chunk has its own child of rng, so results do not depend on workers."""
     sizes = [_CHUNK] * (n // _CHUNK)
     if n % _CHUNK:
         sizes.append(n % _CHUNK)
@@ -79,8 +81,7 @@ def _fmt_t(tt: np.ndarray) -> str:
 
 
 def mc_survival_check(model: CanonicalModel, t, n: int, rng,
-                      z_threshold: float = 4.0, tol: float = 1e-3,
-                      workers: int = 1) -> CheckReport:
+                      z_threshold: float = 4.0, workers: int = 1) -> CheckReport:
     """Empirical frequency of {Y > t componentwise} against exp(-l(t)).
 
     The standard error uses the exact probability, which keeps the z-score
@@ -94,7 +95,7 @@ def mc_survival_check(model: CanonicalModel, t, n: int, rng,
     d = tt.size
 
     def chunk(child, size):
-        samples = sample_minstable_batch(model, d, size, child, tol)
+        samples = sample_minstable_batch(model, d, size, child)
         return int(np.sum(np.all(samples > tt, axis=1)))
 
     hits = sum(_run_chunks(rng, n, chunk, workers))
@@ -134,8 +135,7 @@ def mc_pickands_check(model: CanonicalModel, t, n: int, rng,
 
 
 def mc_margin_check(model: CanonicalModel, n: int, rng,
-                    z_threshold: float = 4.0, tol: float = 1e-3,
-                    workers: int = 1) -> CheckReport:
+                    z_threshold: float = 4.0, workers: int = 1) -> CheckReport:
     """First-margin mean against 1; the name carries a one-sample
     Kolmogorov-Smirnov statistic versus the unit exponential."""
     n = int(n)
@@ -143,7 +143,7 @@ def mc_margin_check(model: CanonicalModel, n: int, rng,
         raise ValueError(f"n must be at least 1000, got {n}")
 
     def chunk(child, size):
-        return sample_minstable_batch(model, 1, size, child, tol)[:, 0]
+        return sample_minstable_batch(model, 1, size, child)[:, 0]
 
     values = np.concatenate(_run_chunks(rng, n, chunk, workers))
     empirical = float(values.mean())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special, stats
 from scipy.integrate import quad
 
 from maxstable import (
@@ -20,6 +21,7 @@ from maxstable import (
     rescale_to_unit_mean,
     tilt,
 )
+from maxstable.families import _SizeBiasedTable
 
 LN2 = math.log(2.0)
 
@@ -203,7 +205,7 @@ def test_size_biased_frechet_mean():
 
 
 def test_size_biased_generic_inversion():
-    # the tilted family exercises the monotone-bisection fallback
+    # the tilted family exercises the tabulated generic inverse
     F = tilt(UnitExponential(), 2.0)
     oracle = quad(lambda u: 2.0 * u * (1.0 - float(F.cdf(u))), 0.0, 50.0,
                   limit=500)[0]
@@ -213,6 +215,39 @@ def test_size_biased_generic_inversion():
     se = z.std(ddof=1) / math.sqrt(n)
     assert abs(z.mean() - oracle) <= 4.0 * se
     assert np.all(z > 0.0)
+
+
+@pytest.mark.parametrize("z", [0.5, 2.0, 7.0])
+def test_size_biased_table_matches_scalar_inverse(z):
+    F = tilt(UnitExponential(), z)
+    u = 1.0 - np.random.default_rng(31).random(24)
+    ref = np.array([F._size_biased_inverse(v) for v in u])
+    assert_allclose(_SizeBiasedTable(F).inverse(u), ref, rtol=1e-12, atol=0.0)
+
+
+def test_size_biased_table_atoms_and_rescaled():
+    # the left half of each atom's jump in G returns the atom; a Rescaled
+    # generic base draws from the base's table
+    F = Tilted(Discrete([(0.5, 0.5), (1.5, 0.5)]), 2.0)
+    u = 1.0 - np.random.default_rng(37).random(24)
+    ref = np.array([F._size_biased_inverse(v) for v in u])
+    assert_allclose(_SizeBiasedTable(F).inverse(u), ref, rtol=1e-12, atol=0.0)
+    R = Rescaled(UniformCdf(4.0))
+    draws = R.sample_size_biased(np.random.default_rng(41), size=8)
+    base = UniformCdf(4.0)
+    u = 1.0 - np.random.default_rng(41).random(8)
+    ref = np.array([base._size_biased_inverse(v) for v in u]) / R.scale
+    assert_allclose(draws, ref, rtol=1e-12, atol=0.0)
+
+
+def test_size_biased_frechet_gamma_route_matches_incomplete_gamma():
+    # (c / V)^alpha with V ~ Gamma(1 - alpha) against inverting the
+    # size-biased cdf gammaincc(1 - alpha, c t^(-1/alpha))
+    F = Frechet(0.7)
+    gamma_route = F.sample_size_biased(np.random.default_rng(43), size=20_000)
+    u = np.random.default_rng(47).random(20_000)
+    inverted = (F.c / special.gammainccinv(1.0 - F.alpha, u)) ** F.alpha
+    assert stats.ks_2samp(gamma_route, inverted).pvalue > 1e-3
 
 
 def test_size_biased_discrete():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from maxstable import samplers
@@ -73,11 +75,11 @@ def test_minstable_logistic_joint_survival():
 def test_minstable_two_point_and_mixed():
     rng = np.random.default_rng(4)
     model = point_model(TwoPoint(LN2))
-    y = sample_minstable_batch(model, 2, 100_000, rng, tol=1e-3)
+    y = sample_minstable_batch(model, 2, 100_000, rng)
     assert abs(survival_z(y, [1.0, 1.0], model)) <= 4.0
 
     mixed = CanonicalModel(0.5, MixingMeasure.point(TwoPoint(LN2)))
-    y = sample_minstable_batch(mixed, 3, 100_000, rng, tol=1e-3)
+    y = sample_minstable_batch(mixed, 3, 100_000, rng)
     assert abs(survival_z(y, [0.5, 1.0, 1.5], mixed)) <= 4.0
 
 
@@ -85,20 +87,20 @@ def test_minstable_multi_component_mixture():
     rng = np.random.default_rng(5)
     mu = MixingMeasure([(0.5, TwoPoint(LN2)), (0.5, Dirac1())])
     model = CanonicalModel(0.25, mu)
-    y = sample_minstable_batch(model, 2, 100_000, rng, tol=1e-3)
+    y = sample_minstable_batch(model, 2, 100_000, rng)
     assert abs(survival_z(y, [1.0, 1.0], model)) <= 4.0
 
 
 def test_thinned_path_matches_block_path():
     # a two-component mixture of identical Frechet components is the same
-    # model but runs through the generic block construction
+    # model but runs through extremal functions, not the stable frailty
     rng = np.random.default_rng(6)
     F = Frechet(0.5)
     thin_model = point_model(F)
     block_model = CanonicalModel(0.0, MixingMeasure([(0.5, F), (0.5, F)]))
     n = 40_000
-    y1 = sample_minstable_batch(thin_model, 2, n, rng, tol=1e-3)
-    y2 = sample_minstable_batch(block_model, 2, n, rng, tol=1e-3)
+    y1 = sample_minstable_batch(thin_model, 2, n, rng)
+    y2 = sample_minstable_batch(block_model, 2, n, rng)
     for t in ([1.0, 1.0], [0.5, 2.0]):
         t = np.asarray(t)
         p1 = np.mean(np.all(y1 > t, axis=1))
@@ -119,20 +121,71 @@ def test_minstable_single_draw_and_determinism():
     assert np.array_equal(b1, b2)
 
 
-def test_minstable_truncation_paired_seeds():
-    # the tilted family runs the generic block path with a real truncation
-    # bound; with a shared seed the finer-tol run extends the same stream,
-    # so coordinates can only decrease, and rarely
+def test_minstable_generic_family_exact(monkeypatch):
+    # the tilted family has no closed forms: extremal functions with the
+    # tabulated size-biased draws, exact with no truncation; a row draws
+    # d spectral vectors on average (Dombry, Engelke & Oesting 2016)
     model = point_model(tilt(UnitExponential(), 2.0))
-    tol = 0.05
-    n = 600
-    changed = 0
-    for seed in range(n):
-        ya = sample_minstable(model, 2, np.random.default_rng(seed), tol=tol)
-        yb = sample_minstable(model, 2, np.random.default_rng(seed), tol=tol / 2)
-        assert np.all(yb <= ya + 1e-12)
-        changed += int(np.any(yb != ya))
-    assert changed / n <= tol + 3.0 * math.sqrt(tol / n)
+    d, n = 3, 20_000
+    drawn = []
+    raw = samplers._pickands_raw
+
+    def counted(mu, d_, m, picked, rng):
+        drawn.append(m)
+        return raw(mu, d_, m, picked, rng)
+
+    monkeypatch.setattr(samplers, "_pickands_raw", counted)
+    y = sample_minstable_batch(model, d, n, np.random.default_rng(7))
+    for t in ([0.5, 0.5, 0.5], [1.0, 0.3, 2.0], [0.1, 1.5, 0.8]):
+        assert abs(survival_z(y, t, model)) <= 4.0
+    se = 1.0 / math.sqrt(n)
+    assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
+    assert abs(sum(drawn) / n - d) <= 0.05 * d
+
+
+@pytest.mark.parametrize("mu, d", [
+    (MixingMeasure([(0.5, Frechet(0.9)), (0.5, Dirac1())]), 3),
+    (MixingMeasure([(0.5, Frechet(0.9)), (0.5, TwoPoint(2.0))]), 10),
+])
+def test_minstable_heavy_mixture_battery(mu, d):
+    # Frechet(0.9) tails mixed with atoms, at d = 3 and d = 10
+    model = CanonicalModel(0.0, mu)
+    n = 20_000
+    y = sample_minstable_batch(model, d, n, np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    for t in (np.full(d, 0.3), np.full(d, 1.0), rng.uniform(0.1, 2.0, d)):
+        assert abs(survival_z(y, t, model)) <= 4.0
+    se = 1.0 / math.sqrt(n)
+    assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
+
+
+closed_form_families = st.one_of(
+    st.just(Dirac1()),
+    st.just(UnitExponential()),
+    st.floats(0.05, 0.95).map(Frechet),
+    st.floats(0.05, 5.0).map(TwoPoint),
+    st.floats(0.05, 0.95).map(
+        lambda p: Discrete([(0.5, p), ((1.0 - 0.5 * p) / (1.0 - p), 1.0 - p)])),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    components=st.lists(st.tuples(st.floats(0.05, 1.0), closed_form_families),
+                        min_size=1, max_size=3),
+    b=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    d=st.integers(1, 6),
+    n=st.integers(0, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_minstable_property(components, b, d, n, seed):
+    total = math.fsum(w for w, _ in components)
+    model = CanonicalModel(b, MixingMeasure([(w / total, F) for w, F in components]))
+    y = sample_minstable_batch(model, d, n, np.random.default_rng(seed))
+    assert y.shape == (n, d)
+    assert np.all(np.isfinite(y)) and np.all(y > 0.0)
+    again = sample_minstable_batch(model, d, n, np.random.default_rng(seed))
+    assert np.array_equal(y, again)
 
 
 def test_minstable_validation():
@@ -140,8 +193,6 @@ def test_minstable_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         sample_minstable_batch(model, 0, 10, rng)
-    with pytest.raises(ValueError):
-        sample_minstable_batch(model, 2, 10, rng, tol=0.0)
 
 
 # -- Pickands sampler --------------------------------------------------------
