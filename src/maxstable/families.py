@@ -185,7 +185,8 @@ class _SizeBiasedTable:
     of one family, where C(t) = int_0^t (1 - F).
 
     C is tabulated at 0, at _TABLE_NODES geometric nodes between the 1e-15
-    and 1 - 1e-15 quantiles and at the atoms, by one 5-point
+    and 1 - 1e-15 quantiles (the upper one found from log_cdf where the
+    quantile rounds to inf) and at the atoms, by one 5-point
     Gauss-Legendre panel per interval; atoms are nodes because the rule is
     wrong across a jump.  A value u is placed between two nodes by
     searchsorted, and an Illinois secant solves G(t) = u between them, with
@@ -197,6 +198,12 @@ class _SizeBiasedTable:
     def __init__(self, F: Cdf):
         self.F = F
         hi = float(F.quantile(1.0 - 1e-15))
+        if not math.isfinite(hi):
+            # the quantile can round its argument up to 1, as Tilted does
+            # with p ** (1 / z) for z >~ 19
+            hi = max(float(F.quantile(0.9)), 1.0)
+            while -math.expm1(float(F.log_cdf(hi))) > 1e-15:
+                hi *= 2.0
         lo = float(F.quantile(1e-15))
         if not lo > 0.0:
             lo = 1e-15 * hi

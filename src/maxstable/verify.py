@@ -136,14 +136,19 @@ def mc_pickands_check(model: CanonicalModel, t, n: int, rng,
 
 def mc_margin_check(model: CanonicalModel, n: int, rng,
                     z_threshold: float = 4.0, workers: int = 1) -> CheckReport:
-    """First-margin mean against 1; the name carries a one-sample
-    Kolmogorov-Smirnov statistic versus the unit exponential."""
+    """Second-margin mean of a bivariate draw against 1; the name carries a
+    one-sample Kolmogorov-Smirnov statistic versus the unit exponential.
+
+    A univariate draw would test nothing: at d=1 the minimum construction
+    returns its first arrival whatever mu, while the second margin of a
+    bivariate draw depends on the size-biased draws and on the rejection
+    step of the extremal functions."""
     n = int(n)
     if n < 1000:
         raise ValueError(f"n must be at least 1000, got {n}")
 
     def chunk(child, size):
-        return sample_minstable_batch(model, 1, size, child)[:, 0]
+        return sample_minstable_batch(model, 2, size, child)[:, 1]
 
     values = np.concatenate(_run_chunks(rng, n, chunk, workers))
     empirical = float(values.mean())

@@ -10,12 +10,15 @@ from maxstable import (
     Frechet,
     MixingMeasure,
     TwoPoint,
+    UnitExponential,
     exchangeability_check,
     mc_margin_check,
     mc_pickands_check,
     mc_survival_check,
     reports_to_csv,
 )
+from maxstable import verify
+from maxstable.samplers import _pickands_raw
 
 LN2 = math.log(2.0)
 
@@ -74,6 +77,35 @@ def test_margin_check_reports_ks_in_name():
     ks = float(r.name.split("=")[1].rstrip("]"))
     assert 0.0 < ks <= 1.63 / math.sqrt(20_000) * 2.0
     assert r.passed
+
+
+def _minimum_without_rejection(model, d, n, rng):
+    # extremal functions with the rejection step left out: every candidate
+    # lowers the minimum, so the margins come out too small
+    minima = np.full((n, d), np.inf)
+    for k in range(d):
+        gamma = rng.exponential(size=n)
+        rows = np.nonzero(gamma < minima[:, k])[0]
+        while rows.size:
+            x = _pickands_raw(model.mu, d, rows.size, np.full(rows.size, k), rng)
+            g = gamma[rows]
+            with np.errstate(divide="ignore"):
+                candidate = (g * x[:, k])[:, None] / x
+            candidate[:, k] = g
+            minima[rows] = np.minimum(minima[rows], candidate)
+            gamma[rows] = g + rng.exponential(size=rows.size)
+            rows = rows[gamma[rows] < minima[rows, k]]
+    return minima
+
+
+def test_margin_check_rejects_sampler_without_rejection_step(monkeypatch):
+    model = CanonicalModel(0.0, MixingMeasure([(0.5, TwoPoint(0.7)),
+                                               (0.5, UnitExponential())]))
+    assert mc_margin_check(model, 20_000, np.random.default_rng(19)).passed
+    monkeypatch.setattr(verify, "sample_minstable_batch",
+                        _minimum_without_rejection)
+    r = mc_margin_check(model, 20_000, np.random.default_rng(19))
+    assert not r.passed and r.z_score < -10.0
 
 
 def test_reports_deterministic_and_worker_invariant():
