@@ -7,15 +7,15 @@ integrable.  A plain cut-off is unusable for heavy algebraic tails
 finite point S and the remainder is mapped by the substitution s = S e^y
 onto [0, oo), where the integrand decays exponentially and QUADPACK's
 infinite-interval transform converges quickly.  Both pieces go through
-scipy's QUADPACK (adaptive Gauss-Kronrod with extrapolation).
+scipy's QUADPACK (adaptive Gauss-Kronrod with extrapolation).  scipy is
+loaded on the first call, not at import, so that the CLI and the samplers
+start without it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
-
-from scipy.integrate import quad
 
 from .errors import NumericError
 
@@ -42,6 +42,8 @@ def tail_quad(
     """
     if upper <= a:
         return 0.0
+    from scipy.integrate import quad
+
     eps = abs_tol / 4.0
 
     if math.isfinite(upper):

@@ -15,6 +15,11 @@ Closed forms are used wherever the family admits one; the generic fallbacks
 go through adaptive Gauss-Kronrod quadrature, monotone bisection and a
 size-biased table cached by the first draw.  Objects are otherwise immutable
 after construction, and safe to share across threads.
+
+scipy is loaded on first use: by the quadrature fallback (hence by the
+means, tail integrals and size-biased tables of generic families), by the
+Frechet tail integrals and by UnitExponential.power_tail_integral (hence by
+constructing a Tilted family).
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from ._quad import tail_quad
 
@@ -48,6 +52,7 @@ __all__ = [
 UNIT_MEAN_TOL = 1e-9
 
 _EULER_GAMMA = float(np.euler_gamma)
+_SERIES_GROWTH = math.log(1e4)
 
 
 def _maybe_scalar(arr, scalar_in):
@@ -318,7 +323,7 @@ class Frechet(UnitMeanCdf):
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         self.alpha = alpha
-        self.c = float(special.gamma(1.0 - alpha) ** (-1.0 / alpha))
+        self.c = math.gamma(1.0 - alpha) ** (-1.0 / alpha)
 
     def cdf(self, x, left: bool = False):
         x_arr = np.asarray(x, dtype=float)
@@ -363,6 +368,8 @@ class Frechet(UnitMeanCdf):
 
 def _frechet_tail(c: float, alpha: float, a):
     """int_a^oo (1 - exp(-c u^(-1/alpha))) du via incomplete gamma."""
+    from scipy import special
+
     with np.errstate(divide="ignore"):
         v = c * a ** (-1.0 / alpha)
     lower = special.gammainc(1.0 - alpha, v) * special.gamma(1.0 - alpha)
@@ -452,15 +459,21 @@ class UnitExponential(UnitMeanCdf):
 
     def power_tail_integral(self, a: float, z: float) -> float:
         if a <= 0.0:
+            from scipy import special
+
             # int_0^oo (1 - (1-e^-v)^z) dv == digamma(z+1) + gamma
             return float(special.digamma(z + 1.0)) + _EULER_GAMMA
         w0 = math.exp(-a)
-        if w0 <= 0.5:
+        # the series' terms sum in absolute value to about (1 + w0)^z, so it
+        # is used only while that cancellation costs at most 4 digits
+        if w0 <= 0.5 and z * math.log1p(w0) <= _SERIES_GROWTH:
             # int_0^w0 (1 - (1-w)^z) / w dw as an alternating binomial series
             total = 0.0
+            coef = -1.0  # (-1)^(k+1) binom(z, k), by the running product
             term_w = w0
             for k in range(1, 200):
-                term = (-1.0) ** (k + 1) * special.binom(z, k) * term_w / k
+                coef *= -(z - k + 1) / k
+                term = coef * term_w / k
                 total += term
                 term_w *= w0
                 if abs(term) < 1e-17:

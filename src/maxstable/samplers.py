@@ -367,17 +367,18 @@ class IdtPath:
 
 class _Series:
     """What the rows of one batch share: the triplet, the tolerance and the
-    certification thresholds solved so far, one per horizon.
+    certification thresholds solved so far, one per effective horizon.
 
     A row's series is certified over [0, horizon] once its last arrival
     reaches eff * median_max and the remainder bound
 
         2 * intensity * eff * sum_i w_i tail_i(last / eff),  eff = min(horizon, pin),
 
-    is at most ``tol``.  The bound decreases in ``last``, so for an unpinned
-    row it is solved once per horizon for the arrival at which it crosses
-    ``tol``; arrivals within a relative ``_CERTIFY_BAND`` of that point are
-    checked against the bound itself, and pinned rows always are.
+    is at most ``tol``.  The bound decreases in ``last``, so it is solved
+    once per eff (the horizon, or a pinned row's pin time) for the arrival
+    at which it crosses ``tol``; arrivals within a relative
+    ``_CERTIFY_BAND`` of that point (for a pin time, within about one
+    arrival of it) are checked against the bound itself.
     """
 
     def __init__(self, triplet: IdtTriplet, tol: float):
@@ -406,24 +407,29 @@ class _Series:
         eff = min(horizon, pin)
         if last < eff * self.median_max:
             return False
-        if eff == horizon:
-            lo, hi = self._threshold(horizon)
-            if last >= hi:
-                return True
-            if last <= lo:
-                return False
+        # a pin time serves one row: bracket its threshold from this arrival
+        lo, hi = self._threshold(eff, last if eff < horizon else None)
+        if last >= hi:
+            return True
+        if last <= lo:
+            return False
         return self.bound(eff, last) <= self.tol
 
-    def _threshold(self, horizon: float):
-        """(lo, hi), hi / lo <= 1 + band: the bound exceeds tol at lo and
-        is at most tol at hi."""
+    def _threshold(self, horizon: float, start=None):
+        """(lo, hi): the bound over [0, horizon] exceeds tol at lo and is at
+        most tol at hi, and hi / lo <= 1 + band.
+
+        A ``start`` point means the threshold serves one row: the bracket
+        begins there, and the bisection stops as soon as [lo, hi] expects at
+        most one arrival, which the caller checks exactly.
+        """
         cached = self._thresholds.get(horizon)
         if cached is not None:
             return cached
         if self.bound(horizon, 0.0) <= self.tol:
             cached = (-math.inf, 0.0)
         else:
-            lo, hi = 0.0, horizon * max(self.median_max, 1.0)
+            lo, hi = 0.0, start or horizon * max(self.median_max, 1.0)
             while self.bound(horizon, hi) > self.tol:
                 lo, hi = hi, 2.0 * hi
                 if math.isinf(hi):
@@ -432,6 +438,8 @@ class _Series:
                         f"over [0, {horizon:g}]", achieved_bound=math.inf)
             for _ in range(200):
                 if hi <= lo * (1.0 + _CERTIFY_BAND):
+                    break
+                if start is not None and (hi - lo) * self.intensity <= 1.0:
                     break
                 mid = 0.5 * (lo + hi)
                 if self.bound(horizon, mid) <= self.tol:

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -343,3 +346,43 @@ def test_path_dump_spec_roundtrip(spec_dir, tmp_path):
     p.write_text(dumped)
     code, dumped2 = run_cli(["path", "--spec", str(p), "--dump-spec"])
     assert dumped == dumped2
+
+
+_STARTUP_SCRIPT = r"""
+import io, sys
+
+import maxstable.cli as cli
+
+frechet, mixture, heavy = sys.argv[1:]
+for path in (frechet, mixture, heavy):
+    with open(path, encoding="utf-8") as fh:
+        cli.parse_model(fh.read())
+for path in (frechet, mixture):
+    assert cli.run(["sample", "--spec", path, "--d", "5", "--n", "200",
+                    "--seed", "1"], io.StringIO()) == 0
+assert cli.run(["verify", "--spec", heavy, "--t", "1,1,1", "--n", "2000",
+                "--seed", "1", "--workers", "2"], io.StringIO()) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_start_up_leaves_scipy_unloaded(spec_dir):
+    # the specs of the sample_light and verify_heavy benchmark workloads, run
+    # in a fresh interpreter since this process has loaded scipy already
+    paths = [
+        spec_dir({"b": 0.0, "mu": [{"weight": 1.0, "family": "frechet",
+                                    "alpha": 0.5}]}, "frechet.json"),
+        spec_dir({"b": 0.25, "mu": [
+            {"weight": 0.5, "family": "two_point", "theta": 0.7},
+            {"weight": 0.5, "family": "unit_exponential"}]}, "mixture.json"),
+        spec_dir({"b": 0.0, "mu": [
+            {"weight": 0.5, "family": "frechet", "alpha": 0.5},
+            {"weight": 0.5, "family": "two_point", "theta": 2.0}]}, "heavy.json"),
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, *paths], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -262,6 +262,22 @@ def test_size_biased_discrete():
     assert abs(freq - 0.8) <= 3.0 * math.sqrt(0.8 * 0.2 / 50_000)
 
 
+@pytest.mark.parametrize("a", [0.7, 1.0, 3.0])
+@pytest.mark.parametrize("z", [20.0, 50.0, 100.0, 300.0, 1e5])
+def test_unit_exponential_power_tail_large_z(z, a):
+    # independent reference: 1 - (1 - e^-u)^z falls from ~1 to ~0 around
+    # u = ln z, so split there; beyond ln z + 50 the integral is below 1e-20
+    def g(u):
+        return -math.expm1(z * math.log1p(-math.exp(-u)))
+
+    knee = math.log(z)
+    pieces = [(a, knee), (max(a, knee), max(a, knee) + 50.0)]
+    oracle = sum(quad(g, lo, hi, limit=500, epsabs=1e-13, epsrel=1e-13)[0]
+                 for lo, hi in pieces if hi > lo)
+    value = UnitExponential().power_tail_integral(a, z)
+    assert value == pytest.approx(oracle, abs=1e-10)
+
+
 def test_tilt_identity_and_fixed_points():
     ue = UnitExponential()
     assert tilt(ue, 1.0) is ue

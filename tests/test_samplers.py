@@ -463,6 +463,30 @@ def test_path_uncertifiable_tail_raises_quickly():
         sample_conditional_iid_batch(tr, 2, 5, np.random.default_rng(53))
 
 
+def test_pinned_path_solves_threshold_per_pin_time(monkeypatch):
+    # Dirac1 atoms pin the path; each pin time gets its own certification
+    # threshold instead of an exact bound per arrival
+    mu = MixingMeasure([(0.5, Frechet(0.5)), (0.5, Dirac1())])
+    tr = IdtTriplet(0.1, 0.9, mu)
+    calls = []
+    for cls in (Frechet, Dirac1):
+        orig = cls.tail_integral
+
+        def counted(self, a, orig=orig):
+            calls.append(a)
+            return orig(self, a)
+
+        monkeypatch.setattr(cls, "tail_integral", counted)
+    path = sample_idt_path(tr, 8.0, np.random.default_rng(0), 1e-5)
+    assert len(calls) < 100
+    # forcing the exact bound on every arrival certifies at the same one
+    monkeypatch.setattr(samplers._Series, "_threshold",
+                        lambda self, horizon, start: (-math.inf, math.inf))
+    exact = sample_idt_path(tr, 8.0, np.random.default_rng(0), 1e-5)
+    assert path.atoms == exact.atoms
+    assert path.truncation_bound == exact.truncation_bound
+
+
 def test_conditional_iid_sweep_matches_scalar_bisection():
     # reference: bisect each coordinate alone with scalar evaluations of the
     # row's final path, as the per-row loop did
