@@ -16,10 +16,15 @@ go through adaptive Gauss-Kronrod quadrature, monotone bisection and a
 size-biased table cached by the first draw.  Objects are otherwise immutable
 after construction, and safe to share across threads.
 
+Each law has one implementation.  Point masses are one-atom discrete laws
+(Dirac1 a Discrete, PointMass a DiscreteCdf), and the scale wrapper
+F(x) = G(x * scale) serves both Rescaled (scale = mean of G) and Exponential
+(scale = 1 / mean over UnitExponential).
+
 scipy is loaded on first use: by the quadrature fallback (hence by the
-means, tail integrals and size-biased tables of generic families), by the
-Frechet tail integrals and by UnitExponential.power_tail_integral (hence by
-constructing a Tilted family).
+tail integrals of generic families) and by the Frechet tail integrals.
+Tilted's normalizing constant for a UnitExponential base is digamma(z+1) +
+gamma from the scipy-free _digamma.
 """
 
 from __future__ import annotations
@@ -275,42 +280,6 @@ class UnitMeanCdf(Cdf):
     """Marker base class for families whose mean is exactly one."""
 
 
-class Dirac1(UnitMeanCdf):
-    """Point mass at 1: the comonotone atom."""
-
-    def cdf(self, x, left: bool = False):
-        x_arr = np.asarray(x, dtype=float)
-        out = (x_arr > 1.0) if left else (x_arr >= 1.0)
-        return _maybe_scalar(out.astype(float), x_arr.ndim == 0)
-
-    def quantile(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        return _maybe_scalar(np.ones_like(p_arr), p_arr.ndim == 0)
-
-    def tail_integral(self, a):
-        a_arr = np.asarray(a, dtype=float)
-        out = np.clip(1.0 - a_arr, 0.0, None)
-        return _maybe_scalar(out, a_arr.ndim == 0)
-
-    def power_tail_integral(self, a: float, z: float) -> float:
-        return max(0.0, 1.0 - a)
-
-    def support_lower(self) -> float:
-        return 1.0
-
-    def support_upper(self) -> float:
-        return 1.0
-
-    def atom_values(self):
-        return np.array([1.0]), np.array([1.0])
-
-    def sample_size_biased(self, rng, size=None):
-        return 1.0 if size is None else np.ones(size)
-
-    def _key(self):
-        return ("dirac1",)
-
-
 class Frechet(UnitMeanCdf):
     """F(x) = exp(-c x^(-1/alpha)) with c = Gamma(1-alpha)^(-1/alpha), alpha in (0, 1).
 
@@ -358,7 +327,8 @@ class Frechet(UnitMeanCdf):
         # V = c X^(-1/alpha) is unit exponential under F, so under x dF(x)
         # it is Gamma(1 - alpha)
         v = rng.standard_gamma(1.0 - self.alpha, size=size)
-        with np.errstate(divide="ignore"):
+        # v underflows to 0 now and then for alpha near 1; the draw is then inf
+        with np.errstate(divide="ignore", over="ignore"):
             out = (self.c / v) ** self.alpha
         return float(out) if size is None else out
 
@@ -410,7 +380,7 @@ class TwoPoint(UnitMeanCdf):
 
     def tail_integral(self, a):
         a_arr = np.asarray(a, dtype=float)
-        out = (1.0 - self.p0) * np.clip(self.q - a_arr, 0.0, None)
+        out = -math.expm1(-self.theta) * np.clip(self.q - a_arr, 0.0, None)
         return _maybe_scalar(out, a_arr.ndim == 0)
 
     def power_tail_integral(self, a: float, z: float) -> float:
@@ -420,7 +390,7 @@ class TwoPoint(UnitMeanCdf):
         return self.q
 
     def atom_values(self):
-        return np.array([0.0, self.q]), np.array([self.p0, 1.0 - self.p0])
+        return np.array([0.0, self.q]), np.array([self.p0, -math.expm1(-self.theta)])
 
     def sample_size_biased(self, rng, size=None):
         # value-weighted masses kill the atom at zero: q * (1 - p0) == 1
@@ -459,10 +429,8 @@ class UnitExponential(UnitMeanCdf):
 
     def power_tail_integral(self, a: float, z: float) -> float:
         if a <= 0.0:
-            from scipy import special
-
             # int_0^oo (1 - (1-e^-v)^z) dv == digamma(z+1) + gamma
-            return float(special.digamma(z + 1.0)) + _EULER_GAMMA
+            return _digamma(z + 1.0) + _EULER_GAMMA
         w0 = math.exp(-a)
         # the series' terms sum in absolute value to about (1 + w0)^z, so it
         # is used only while that cancellation costs at most 4 digits
@@ -487,6 +455,31 @@ class UnitExponential(UnitMeanCdf):
 
     def _key(self):
         return ("unit_exponential",)
+
+
+#: Bernoulli terms B_2k / 2k of the asymptotic series of digamma, k = 1..6
+_DIGAMMA_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
+                   1.0 / 132.0, -691.0 / 32760.0)
+
+
+def _digamma(x: float) -> float:
+    """digamma(x) for x >= 1, to a few units in the last place.
+
+    The recurrence digamma(x) = digamma(x + 1) - 1/x lifts x to 12 or more,
+    where the asymptotic series log x - 1/(2x) - sum B_2k / (2k x^2k) is
+    summed through B_12 (the next term is below 1e-16 there); fsum adds the
+    terms with one rounding.
+    """
+    terms = []
+    while x < 12.0:
+        terms.append(-1.0 / x)
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = 0.0
+    for coef in reversed(_DIGAMMA_SERIES):
+        series = (series + coef) * inv2
+    terms += [math.log(x), -0.5 / x, -series]
+    return math.fsum(terms)
 
 
 class _DiscreteBase(Cdf):
@@ -589,6 +582,38 @@ class Discrete(_DiscreteBase, UnitMeanCdf):
             raise ValueError(f"atoms have mean {m!r}, expected 1 within {UNIT_MEAN_TOL}")
 
 
+class Dirac1(Discrete):
+    """Point mass at 1: the comonotone atom."""
+
+    def __init__(self):
+        super().__init__([(1.0, 1.0)])
+
+    def sample_size_biased(self, rng, size=None):
+        # the atom itself, drawing no randomness
+        return 1.0 if size is None else np.ones(size)
+
+    def _key(self):
+        return ("dirac1",)
+
+    __repr__ = Cdf.__repr__
+
+
+class PointMass(DiscreteCdf):
+    """Point mass at an arbitrary positive location (finite-mean descriptor)."""
+
+    def __init__(self, location: float):
+        location = float(location)
+        if not (location > 0.0 and math.isfinite(location)):
+            raise ValueError(f"location must be positive and finite, got {location}")
+        super().__init__([(location, 1.0)])
+        self.location = location
+
+    def _key(self):
+        return ("point_mass", self.location)
+
+    __repr__ = Cdf.__repr__
+
+
 class Tilted(UnitMeanCdf):
     """The power-tilted family F_z(x) = F(x * psi)^z with psi = int_0^oo (1 - F^z).
 
@@ -622,17 +647,6 @@ class Tilted(UnitMeanCdf):
         out = np.asarray(self.base.quantile(p_arr ** (1.0 / self.z))) / self.psi
         return _maybe_scalar(out, p_arr.ndim == 0)
 
-    def tail_integral(self, a):
-        a_arr = np.asarray(a, dtype=float)
-        if a_arr.ndim == 0:
-            return self.base.power_tail_integral(float(a_arr) * self.psi,
-                                                 self.z) / self.psi
-        flat = [
-            self.base.power_tail_integral(v * self.psi, self.z) / self.psi
-            for v in a_arr.ravel()
-        ]
-        return np.array(flat).reshape(a_arr.shape)
-
     def power_tail_integral(self, a: float, z: float) -> float:
         return self.base.power_tail_integral(a * self.psi, self.z * z) / self.psi
 
@@ -655,15 +669,12 @@ class Tilted(UnitMeanCdf):
         return ("tilted", self.base._key(), self.z)
 
 
-class Rescaled(UnitMeanCdf):
-    """F(t) = G(M t) for a finite-mean base G with mean M: time-rescaling to unit mean."""
+class _Scaled(Cdf):
+    """F(x) = G(x * scale) for a base G and a positive scale."""
 
-    def __init__(self, base: Cdf):
-        m = base.mean()
-        if not (0.0 < m < math.inf):
-            raise ValueError(f"base mean must be finite and positive, got {m!r}")
+    def __init__(self, base: Cdf, scale: float):
         self.base = base
-        self.scale = m
+        self.scale = scale
 
     def cdf(self, x, left: bool = False):
         x_arr = np.asarray(x, dtype=float)
@@ -704,89 +715,29 @@ class Rescaled(UnitMeanCdf):
     def sample_size_biased(self, rng, size=None):
         return self.base.sample_size_biased(rng, size) / self.scale
 
+
+class Rescaled(_Scaled, UnitMeanCdf):
+    """F(t) = G(M t) for a finite-mean base G with mean M: time-rescaling to unit mean."""
+
+    def __init__(self, base: Cdf):
+        m = base.mean()
+        if not (0.0 < m < math.inf):
+            raise ValueError(f"base mean must be finite and positive, got {m!r}")
+        super().__init__(base, m)
+
     def _key(self):
         return ("rescaled", self.base._key())
 
 
-class PointMass(Cdf):
-    """Point mass at an arbitrary positive location (finite-mean descriptor)."""
-
-    def __init__(self, location: float):
-        location = float(location)
-        if not (location > 0.0 and math.isfinite(location)):
-            raise ValueError(f"location must be positive and finite, got {location}")
-        self.location = location
-
-    def cdf(self, x, left: bool = False):
-        x_arr = np.asarray(x, dtype=float)
-        out = (x_arr > self.location) if left else (x_arr >= self.location)
-        return _maybe_scalar(out.astype(float), x_arr.ndim == 0)
-
-    def quantile(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        return _maybe_scalar(np.full_like(p_arr, self.location), p_arr.ndim == 0)
-
-    def tail_integral(self, a):
-        a_arr = np.asarray(a, dtype=float)
-        out = np.clip(self.location - a_arr, 0.0, None)
-        return _maybe_scalar(out, a_arr.ndim == 0)
-
-    def power_tail_integral(self, a: float, z: float) -> float:
-        return max(0.0, self.location - a)
-
-    def support_lower(self) -> float:
-        return self.location
-
-    def support_upper(self) -> float:
-        return self.location
-
-    def atom_values(self):
-        return np.array([self.location]), np.array([1.0])
-
-    def sample_size_biased(self, rng, size=None):
-        return self.location if size is None else np.full(size, self.location)
-
-    def _key(self):
-        return ("point_mass", self.location)
-
-
-class Exponential(Cdf):
+class Exponential(_Scaled):
     """Exponential distribution with arbitrary positive mean (finite-mean descriptor)."""
 
     def __init__(self, mean: float):
         mean = float(mean)
         if not (mean > 0.0 and math.isfinite(mean)):
             raise ValueError(f"mean must be positive and finite, got {mean}")
+        super().__init__(UnitExponential(), 1.0 / mean)
         self.mean_value = mean
-
-    def cdf(self, x, left: bool = False):
-        x_arr = np.asarray(x, dtype=float)
-        return _maybe_scalar(-np.expm1(-x_arr / self.mean_value), x_arr.ndim == 0)
-
-    def log_cdf(self, x, left: bool = False):
-        x_arr = np.asarray(x, dtype=float)
-        out = UnitExponential().log_cdf(x_arr / self.mean_value)
-        return _maybe_scalar(np.asarray(out), x_arr.ndim == 0)
-
-    def quantile(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = -self.mean_value * np.log1p(-p_arr)
-        return _maybe_scalar(out, p_arr.ndim == 0)
-
-    def tail_integral(self, a):
-        a_arr = np.asarray(a, dtype=float)
-        out = self.mean_value * np.exp(-a_arr / self.mean_value)
-        return _maybe_scalar(out, a_arr.ndim == 0)
-
-    def power_tail_integral(self, a: float, z: float) -> float:
-        return self.mean_value * UnitExponential().power_tail_integral(
-            a / self.mean_value, z
-        )
-
-    def sample_size_biased(self, rng, size=None):
-        out = self.mean_value * rng.gamma(2.0, size=size)
-        return float(out) if size is None else out
 
     def _key(self):
         return ("exponential", self.mean_value)

@@ -153,7 +153,9 @@ def _extremal_minimum_batch(mu: MixingMeasure, d: int, n: int,
                     f"in coordinate {k}", achieved_bound=float(rows.size))
             x = _pickands_raw(mu, d, rows.size, np.full(rows.size, k), rng)
             g = gamma[rows]
-            with np.errstate(divide="ignore"):
+            # a candidate past the float range is inf, which lowers nothing;
+            # an infinite x_k makes inf / inf in column k, which is overwritten
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 candidate = (g * x[:, k])[:, None] / x
             candidate[:, k] = g
             current = minima[rows]
@@ -216,6 +218,10 @@ def sample_pickands_batch(model: CanonicalModel, d: int, n: int, rng):
         resampled += int(bad.sum())
         attempts += 1
 
+    # a size-biased draw can be inf (Frechet with alpha near 1); such a row
+    # normalizes to its limit, spread over its infinite coordinates
+    infinite = np.isinf(w).any(axis=1)
+    w[infinite] = np.isinf(w[infinite])
     return w / w.sum(axis=1, keepdims=True), resampled
 
 

@@ -353,8 +353,8 @@ import io, sys
 
 import maxstable.cli as cli
 
-frechet, mixture, heavy = sys.argv[1:]
-for path in (frechet, mixture, heavy):
+frechet, mixture, heavy, tilted = sys.argv[1:]
+for path in (frechet, mixture, heavy, tilted):
     with open(path, encoding="utf-8") as fh:
         cli.parse_model(fh.read())
 for path in (frechet, mixture):
@@ -367,8 +367,9 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_cli_start_up_leaves_scipy_unloaded(spec_dir):
-    # the specs of the sample_light and verify_heavy benchmark workloads, run
-    # in a fresh interpreter since this process has loaded scipy already
+    # the specs of the sample_light and verify_heavy benchmark workloads and a
+    # tilted spec, run in a fresh interpreter since this process has loaded
+    # scipy already
     paths = [
         spec_dir({"b": 0.0, "mu": [{"weight": 1.0, "family": "frechet",
                                     "alpha": 0.5}]}, "frechet.json"),
@@ -378,6 +379,9 @@ def test_cli_start_up_leaves_scipy_unloaded(spec_dir):
         spec_dir({"b": 0.0, "mu": [
             {"weight": 0.5, "family": "frechet", "alpha": 0.5},
             {"weight": 0.5, "family": "two_point", "theta": 2.0}]}, "heavy.json"),
+        spec_dir({"b": 0.0, "mu": [{"weight": 1.0, "family": "tilted", "z": 2.0,
+                                    "base": {"family": "unit_exponential"}}]},
+                 "tilted.json"),
     ]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

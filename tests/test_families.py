@@ -21,7 +21,7 @@ from maxstable import (
     rescale_to_unit_mean,
     tilt,
 )
-from maxstable.families import _SizeBiasedTable
+from maxstable.families import _SizeBiasedTable, _digamma
 
 LN2 = math.log(2.0)
 
@@ -276,6 +276,89 @@ def test_unit_exponential_power_tail_large_z(z, a):
                  for lo, hi in pieces if hi > lo)
     value = UnitExponential().power_tail_integral(a, z)
     assert value == pytest.approx(oracle, abs=1e-10)
+
+
+def test_digamma_matches_scipy():
+    zs = np.concatenate([np.geomspace(1e-12, 1e8, 2001), np.arange(1.0, 40.0)])
+    ours = np.array([_digamma(1.0 + z) for z in zs])
+    assert_allclose(ours, special.digamma(1.0 + zs), rtol=0.0, atol=1e-14)
+    F = UnitExponential()
+    for z in (0.5, 2.0, 7.0, 1e3):
+        assert F.power_tail_integral(0.0, z) == pytest.approx(
+            special.digamma(z + 1.0) + np.euler_gamma, rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("theta", np.geomspace(1e-12, 50.0, 25))
+def test_two_point_tail_integral_small_theta(theta):
+    F = TwoPoint(theta)
+    for a in (0.0, 0.25 * F.q, 0.999 * F.q):
+        assert float(F.tail_integral(a)) == pytest.approx(
+            F.power_tail_integral(a, 1.0), rel=1e-14, abs=0.0)
+    assert F.mean() == pytest.approx(1.0, rel=1e-14, abs=0.0)
+    values, weights = F.atom_values()
+    assert float(values @ weights) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+
+def test_point_mass_closed_forms():
+    F = PointMass(2.5)
+    assert F.location == 2.5 and repr(F) == "PointMass(2.5)"
+    x = np.array([0.0, 2.4, 2.5, 3.0])
+    assert_allclose(F.cdf(x), [0.0, 0.0, 1.0, 1.0], rtol=0.0, atol=0.0)
+    assert_allclose(F.cdf(x, left=True), [0.0, 0.0, 0.0, 1.0], rtol=0.0, atol=0.0)
+    assert_allclose(F.quantile([0.0, 0.3, 1.0]), 2.5, rtol=0.0, atol=0.0)
+    a = np.array([0.0, 1.0, 2.5, 4.0])
+    assert_allclose(F.tail_integral(a), [2.5, 1.5, 0.0, 0.0], rtol=0.0, atol=0.0)
+    for z in (0.5, 1.0, 3.0):
+        assert [F.power_tail_integral(v, z) for v in a] == [2.5, 1.5, 0.0, 0.0]
+    assert F.mean() == 2.5
+    assert (F.support_lower(), F.support_upper()) == (2.5, 2.5)
+    values, weights = F.atom_values()
+    assert values.tolist() == [2.5] and weights.tolist() == [1.0]
+    for value in (F.cdf(2.5), F.cdf(2.5, left=True), F.quantile(0.3),
+                  F.tail_integral(1.0), F.power_tail_integral(1.0, 2.0)):
+        assert type(value) is float
+
+
+def test_exponential_closed_forms():
+    m = 3.0
+    F = Exponential(m)
+    assert F.mean_value == m and repr(F) == "Exponential(3.0)"
+    x = np.array([0.0, 0.1, 1.0, 3.0, 20.0])
+    assert_allclose(F.cdf(x), -np.expm1(-x / m), rtol=1e-14, atol=0.0)
+    assert_allclose(F.cdf(x, left=True), -np.expm1(-x / m), rtol=1e-14, atol=0.0)
+    assert_allclose(F.log_cdf(x[1:]), np.log1p(-np.exp(-x[1:] / m)), rtol=1e-14)
+    p = np.array([0.0, 0.3, 0.9, 1.0 - 1e-12])
+    assert_allclose(F.quantile(p), -m * np.log1p(-p), rtol=1e-14, atol=0.0)
+    assert_allclose(F.tail_integral(x), m * np.exp(-x / m), rtol=1e-14, atol=0.0)
+    for a in (0.5, 2.0, 6.0):
+        w = math.exp(-a / m)
+        assert F.power_tail_integral(a, 1.0) == pytest.approx(m * w, rel=1e-14)
+        # int_a^oo 1 - (1 - e^(-u/m))^2 du
+        assert F.power_tail_integral(a, 2.0) == pytest.approx(
+            m * (2.0 * w - 0.5 * w * w), rel=1e-14)
+    assert F.power_tail_integral(0.0, 2.0) == pytest.approx(1.5 * m, rel=1e-14)
+    assert F.mean() == pytest.approx(m, rel=1e-15)
+    assert (F.support_lower(), F.support_upper()) == (0.0, math.inf)
+    assert F.atom_values() is None
+    for value in (F.cdf(1.0), F.log_cdf(1.0), F.quantile(0.3),
+                  F.tail_integral(1.0), F.power_tail_integral(1.0, 2.0),
+                  F.sample_size_biased(np.random.default_rng(0))):
+        assert type(value) is float
+    # the size-biased law of an exponential with mean m is Gamma(2, m)
+    assert_allclose(F.sample_size_biased(np.random.default_rng(4), size=5),
+                    m * np.random.default_rng(4).gamma(2.0, size=5), rtol=1e-15)
+
+
+def test_dirac1_is_the_one_atom_discrete_law():
+    F = Dirac1()
+    assert isinstance(F, Discrete) and repr(F) == "Dirac1()"
+    assert F == Dirac1() and F != Discrete([(1.0, 1.0)])
+    assert F.values.tolist() == [1.0] and F.weights.tolist() == [1.0]
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert F.sample_size_biased(rng) == 1.0
+    assert F.sample_size_biased(rng, size=(4, 2)).tolist() == [[1.0, 1.0]] * 4
+    assert rng.bit_generator.state == state
 
 
 def test_tilt_identity_and_fixed_points():

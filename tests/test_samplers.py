@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from maxstable import (
     stdf_canonical,
     tilt,
 )
+from maxstable.verify import mc_pickands_check
 
 LN2 = math.log(2.0)
 
@@ -237,6 +239,26 @@ def test_pickands_monte_carlo_matches_quadrature():
     exact = stdf_canonical(model, t)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) <= 4.0 * se
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.995])
+def test_pickands_frechet_near_one_normalizes_infinite_draws(alpha):
+    # standard_gamma(1 - alpha) underflows to 0 for some draws, so the
+    # size-biased value is inf; its row is the vertex, not nan
+    model = point_model(Frechet(alpha))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, _ = sample_pickands_batch(model, 3, 200_000, np.random.default_rng(0))
+        y = sample_minstable_batch(
+            CanonicalModel(0.0, MixingMeasure([(0.5, Frechet(alpha)), (0.5, TwoPoint(2.0))])),
+            3, 20_000, np.random.default_rng(1))
+    assert np.all(np.isfinite(x))
+    assert_allclose(x.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(np.isfinite(y)) and np.all(y > 0.0)
+    for seed in (0, 1, 2):
+        report = mc_pickands_check(model, [1.0, 0.5, 2.0], 100_000,
+                                   np.random.default_rng(seed))
+        assert report.passed, report
 
 
 def test_pickands_single_draw_type():
