@@ -73,19 +73,23 @@ def _cmd_eval(args, out) -> int:
 
 def _sample_csv(args, out, prefix: str, draw) -> int:
     """Header prefix1..prefixd, then the rows of draw(model, d, size, child)
-    over the chunks of _run_chunks."""
+    over the chunks of _run_chunks; nothing is printed if d or n is
+    invalid."""
     spec = parse_model(_read_spec(args.spec))
     if args.dump_spec:
         print(dump_model(spec), file=out)
         return EXIT_OK
     model = spec.require_canonical()
+    if args.d < 1:
+        raise ValueError(f"d must be at least 1, got {args.d}")
     rng = np.random.default_rng(args.seed)
-    print(",".join(f"{prefix}{i + 1}" for i in range(args.d)), file=out)
 
     def chunk(child, size):
         return draw(model, args.d, size, child)
 
-    for block in _run_chunks(rng, args.n, chunk, args.workers):
+    blocks = _run_chunks(rng, args.n, chunk, args.workers)
+    print(",".join(f"{prefix}{i + 1}" for i in range(args.d)), file=out)
+    for block in blocks:
         _print_rows(block, out)
     return EXIT_OK
 

@@ -24,7 +24,7 @@ F(x) = G(x * scale) serves both Rescaled (scale = mean of G) and Exponential
 scipy is loaded on first use: by the quadrature fallback (hence by the
 tail integrals of generic families) and by the Frechet tail integrals.
 Tilted's normalizing constant for a UnitExponential base is digamma(z+1) +
-gamma from the scipy-free _digamma.
+gamma from the scipy-free _harmonic.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
 #: construction-time tolerance on the unit-mean constraint
 UNIT_MEAN_TOL = 1e-9
 
-_EULER_GAMMA = float(np.euler_gamma)
 _SERIES_GROWTH = math.log(1e4)
 
 
@@ -430,7 +429,7 @@ class UnitExponential(UnitMeanCdf):
     def power_tail_integral(self, a: float, z: float) -> float:
         if a <= 0.0:
             # int_0^oo (1 - (1-e^-v)^z) dv == digamma(z+1) + gamma
-            return _digamma(z + 1.0) + _EULER_GAMMA
+            return _harmonic(z)
         w0 = math.exp(-a)
         # the series' terms sum in absolute value to about (1 + w0)^z, so it
         # is used only while that cancellation costs at most 4 digits
@@ -462,23 +461,26 @@ _DIGAMMA_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
                    1.0 / 132.0, -691.0 / 32760.0)
 
 
-def _digamma(x: float) -> float:
-    """digamma(x) for x >= 1, to a few units in the last place.
+def _harmonic(z: float) -> float:
+    """digamma(1 + z) + Euler's gamma for z >= 0, to a few units in the
+    last place relative.
 
-    The recurrence digamma(x) = digamma(x + 1) - 1/x lifts x to 12 or more,
-    where the asymptotic series log x - 1/(2x) - sum B_2k / (2k x^2k) is
-    summed through B_12 (the next term is below 1e-16 there); fsum adds the
-    terms with one rounding.
+    The recurrence digamma(x) = digamma(x + 1) - 1/x, applied from 1 + z
+    and from 1 up to 12 + z and 12, gives
+
+        digamma(1 + z) - digamma(1) = sum_{k=1}^{11} z / (k (k + z))
+                                      + digamma(12 + z) - digamma(12).
+
+    The last difference comes from the asymptotic series log x - 1/(2x) -
+    sum B_2k / (2k x^2k) through B_12 (the next term is below 1e-16 at 12),
+    each term's difference taken from log1p and expm1, so that no step
+    cancels; fsum adds the terms with one rounding.
     """
-    terms = []
-    while x < 12.0:
-        terms.append(-1.0 / x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    for coef in reversed(_DIGAMMA_SERIES):
-        series = (series + coef) * inv2
-    terms += [math.log(x), -0.5 / x, -series]
+    r = math.log1p(z / 12.0)
+    terms = [z / (k * (k + z)) for k in range(1, 12)]
+    terms += [r, z / (24.0 * (12.0 + z))]
+    terms += [-coef * 12.0 ** (-2 * k) * math.expm1(-2 * k * r)
+              for k, coef in enumerate(_DIGAMMA_SERIES, 1)]
     return math.fsum(terms)
 
 

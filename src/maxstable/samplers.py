@@ -1,7 +1,7 @@
 """Samplers: min-stable sequences, simplex vectors, additive paths, first passage.
 
 All samplers take an explicit numpy Generator and are deterministic given
-its state.
+it: its state, and the seed sequence that the path samplers spawn from.
 
 The minimum construction is exact: a single Frechet family draws its
 stable frailty, every other mixture is simulated by extremal functions, and
@@ -12,21 +12,20 @@ envelope -log F(u-) <= 2 (1 - F(u-)) valid above the median; families with
 bounded support terminate exactly, and atoms below the support infimum pin
 the path to +oo from the corresponding time onward.
 
-First passage Y_k = inf{t : H_t > eta_k} is exact for pure drift, for a
-single family with one positive atom and for a single Frechet family; the
-Frechet route draws the stable frailty S of H_t = b t + (c t)^(1/alpha) S
-(Kanter 1975) and ignores ``tol``.  Any other triplet brackets each row's
-levels by horizon doublings of its certified series, then bisects every
-coordinate of a block of rows in one vectorized sweep on the row's final
-arrivals.  That route is deterministic per seed; its outputs may differ,
-within the truncation tolerance, from a bisection of each coordinate on
-only the arrivals drawn up to its own bracket, as earlier versions did.
+First passage Y_k = inf{t : H_t > eta_k} is exact for pure drift and for a
+single Frechet family; the Frechet route draws the stable frailty S of
+H_t = b t + (c t)^(1/alpha) S (Kanter 1975) and ignores ``tol``.  Any other
+triplet runs the series engine (_Rows) on blocks of rows, as sample_idt_path
+runs it on one row: it doubles each row's horizon until the row's certified
+path exceeds its levels, then bisects every coordinate of the block in one
+vectorized sweep on the rows' final paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,12 +47,12 @@ __all__ = [
 
 #: hard cap on Poisson arrivals per sample coordinate / per path
 MAX_ARRIVALS = 10**7
-#: hard cap on first-passage bracket doublings
-MAX_DOUBLINGS = 10**6
 _PICKANDS_MAX_RESAMPLES = 100
 _BISECT_RTOL = 1e-10
-#: rows bisected together by the generic first passage
-_PASSAGE_BLOCK = 128
+#: rows of one generic first-passage block, which has its own generator
+_PASSAGE_BLOCK = 4096
+#: arrivals of a row's first draw; each later draw doubles the row's count
+_FIRST_DRAW = 8
 #: relative width around a solved certification threshold within which an
 #: arrival is checked against the remainder bound itself
 _CERTIFY_BAND = 1e-6
@@ -289,6 +288,8 @@ class _PathSweep:
         Entries outside ``ids`` are evaluated at t = 1 and discarded; once
         they are the majority they are dropped from the sweep.
         """
+        if ids.size == self.ids.size:
+            return self.values(ts)
         if 2 * ids.size <= self.ids.size:
             keep = np.isin(self.ids, ids)
             index = np.cumsum(keep) - 1
@@ -346,6 +347,16 @@ class IdtPath:
     horizon: float
     truncation_bound: float
 
+    @cached_property
+    def _arrivals(self):
+        """(families, gammas, family indices, pin time) of the atoms."""
+        families = list(dict.fromkeys(F for _, F in self.atoms))
+        gammas = np.array([g for g, _ in self.atoms], dtype=float)
+        comps = np.array([families.index(F) for _, F in self.atoms], dtype=int)
+        pin = min((g / F.support_lower() for g, F in self.atoms
+                   if F.support_lower() > 0.0), default=math.inf)
+        return families, gammas, comps, pin
+
     def value(self, t: float) -> float:
         return float(self.values(np.asarray([t]))[0])
 
@@ -353,11 +364,7 @@ class IdtPath:
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < 0.0) or np.any(ts > self.horizon * (1.0 + 1e-12)):
             raise ValueError("evaluation points must lie in [0, horizon]")
-        families = list(dict.fromkeys(F for _, F in self.atoms))
-        gammas = np.array([g for g, _ in self.atoms], dtype=float)
-        comps = np.array([families.index(F) for _, F in self.atoms], dtype=int)
-        pin = min((g / F.support_lower() for g, F in self.atoms
-                   if F.support_lower() > 0.0), default=math.inf)
+        families, gammas, comps, pin = self._arrivals
         flat = ts.ravel()
         out = np.empty(flat.size)
         # bound the (arrival, point) pairs held at once
@@ -384,7 +391,10 @@ class _Series:
     once per eff (the horizon, or a pinned row's pin time) for the arrival
     at which it crosses ``tol``; arrivals within a relative
     ``_CERTIFY_BAND`` of that point (for a pin time, within about one
-    arrival of it) are checked against the bound itself.
+    arrival of it) are checked against the bound itself.  If every family
+    has bounded support, the series is instead certified, exactly and
+    without ``tol``, once its last arrival reaches eff * upper, the largest
+    support bound: later arrivals add nothing on [0, eff].
     """
 
     def __init__(self, triplet: IdtTriplet, tol: float):
@@ -392,34 +402,37 @@ class _Series:
         self.intensity = triplet.c
         self.tol = tol
         self._thresholds = {}
-        if triplet.c > 0.0:
-            self.weights, self.families = _mixture_arrays(triplet.mu)
-            self.cum_weights = np.cumsum(self.weights)
-            self.median_max = max(float(F.quantile(0.5)) for F in self.families)
-            self.lowers = [F.support_lower() for F in self.families]
-        else:
-            self.weights, self.families, self.lowers = np.ones(1), [], []
+        self.weights, self.families = _mixture_arrays(triplet.mu)
+        self.median_max = max(float(F.quantile(0.5)) for F in self.families)
+        self.lowers = np.array([F.support_lower() for F in self.families])
+        self.upper = max(F.support_upper() for F in self.families)
 
-    def bound(self, eff: float, last: float) -> float:
+    def bound(self, eff, last):
         """Expected omitted increment over [0, eff] after arrivals up to ``last``."""
-        if self.intensity == 0.0:
-            return 0.0
-        return float(2.0 * self.intensity * eff
-                     * _mixture_tail(self.weights, self.families, last / eff))
+        return (2.0 * self.intensity * eff
+                * _mixture_tail(self.weights, self.families, last / eff))
 
-    def certified(self, horizon: float, pin: float, last: float) -> bool:
-        if self.intensity == 0.0:
-            return True
-        eff = min(horizon, pin)
-        if last < eff * self.median_max:
-            return False
-        # a pin time serves one row: bracket its threshold from this arrival
-        lo, hi = self._threshold(eff, last if eff < horizon else None)
-        if last >= hi:
-            return True
-        if last <= lo:
-            return False
-        return self.bound(eff, last) <= self.tol
+    def certified(self, last, pin, horizon) -> np.ndarray:
+        """Whether a series cut after an arrival at ``last``, with pin time
+        ``pin``, is certified over [0, horizon]; elementwise."""
+        eff = np.minimum(horizon, pin)
+        if math.isfinite(self.upper):
+            return last >= eff * self.upper
+        ok = last >= eff * self.median_max
+        idx = np.flatnonzero(ok)
+        e, g = eff[idx], last[idx]
+        values, first, inverse = np.unique(e, return_index=True, return_inverse=True)
+        # a pin time serves one row: bracket its threshold from there
+        lo, hi = np.array([
+            self._threshold(v, g[i] if v < horizon[idx[i]] else None)
+            for v, i in zip(values.tolist(), first)
+        ]).reshape(-1, 2).T[:, inverse]
+        good = g >= hi
+        band = (g > lo) & ~good
+        if np.any(band):
+            good[band] = self.bound(e[band], g[band]) <= self.tol
+        ok[idx] = good
+        return ok
 
     def _threshold(self, horizon: float, start=None):
         """(lo, hi): the bound over [0, horizon] exceeds tol at lo and is at
@@ -452,85 +465,162 @@ class _Series:
                     hi = mid
                 else:
                     lo = mid
-            expected = self.intensity * lo
-            if expected > 2.0 * MAX_ARRIVALS and max(self.lowers) == 0.0:
-                # no atom can pin the path, so about ``expected`` arrivals
-                # are needed: fail now instead of after MAX_ARRIVALS
-                raise ResourceError(
-                    f"path series needs about {expected:.3g} arrivals to "
-                    f"certify tol {self.tol:g} over [0, {horizon:g}] "
-                    f"(cap {MAX_ARRIVALS})",
-                    achieved_bound=self.bound(horizon,
-                                              MAX_ARRIVALS / self.intensity),
-                )
             cached = (lo, hi)
         self._thresholds[horizon] = cached
         return cached
 
 
-class _PathBuilder:
-    """The Poisson arrivals of one row, extended lazily until certified."""
+def _child(rng, *key):
+    """The generator of the child of rng's SeedSequence with spawn key ``key``."""
+    seq = rng.bit_generator.seed_seq
+    return np.random.Generator(type(rng.bit_generator)(np.random.SeedSequence(
+        seq.entropy, spawn_key=(*seq.spawn_key, *key), pool_size=seq.pool_size)))
 
-    def __init__(self, series: _Series, rng):
+
+#: one stored arrival: its row, its position in the row, gamma, family index,
+#: and the row's pin time up to and including it
+_ARRIVAL = np.dtype([("row", np.int64), ("pos", np.int64), ("gamma", float),
+                     ("comp", np.int64), ("pin", float)])
+
+
+class _Rows:
+    """The LePage series of a block of rows, each certified over its own
+    horizon.  In round r each uncertified row draws _FIRST_DRAW arrivals,
+    or as many as it holds, from the child of the block generator keyed by
+    (r, count): rows drawing the same count take consecutive rows of one
+    matrix, so a row's arrivals depend only on itself and the rows before
+    it.  A row keeps its shortest certified prefix (``kept`` arrivals);
+    until then ``kept`` is the shortest prefix not ruled out.  Either ends
+    in the row's latest draw.
+    """
+
+    def __init__(self, series: _Series, horizons, rng):
+        m = len(horizons)
         self.series = series
         self.rng = rng
-        self.gammas: list[float] = []
-        self.comp_idx: list[int] = []
-        self.pin_time = math.inf
-        self._values = {}  # H at bracket points, until the next arrival
-        self._sweep = None
+        self.round = 0
+        self.horizon = np.array(horizons, dtype=float)
+        self.count = np.zeros(m, dtype=np.int64)
+        self.kept = np.zeros(m, dtype=np.int64)
+        self.certified = np.zeros(m, dtype=bool)
+        # store index minus row position, over the row's latest draw
+        self.offset = np.zeros(m, dtype=np.int64)
+        self.arrivals = np.empty(0, dtype=_ARRIVAL)
+        self.size = 0
+        self.check(np.arange(m))
 
-    def extend_to(self, horizon: float) -> None:
+    def extend(self, rows) -> None:
+        """Draw the next arrivals of ``rows``, then check them."""
         series = self.series
-        single = len(series.families) == 1
-        last = self.gammas[-1] if self.gammas else 0.0
-        while not series.certified(horizon, self.pin_time, last):
-            if len(self.gammas) >= MAX_ARRIVALS:
-                raise ResourceError(
-                    f"path series exceeded {MAX_ARRIVALS} arrivals",
-                    achieved_bound=self.bound(horizon),
-                )
-            # arrivals carry the triplet's intensity as their Poisson rate
-            last += float(self.rng.exponential()) / series.intensity
-            if single:
-                ci = 0
+        count = self.count[rows]
+        last, pin = self._ends(rows, count)
+        eff = np.minimum(self.horizon[rows], pin)
+        if count.max() >= MAX_ARRIVALS:
+            raise ResourceError(
+                f"path series exceeded {MAX_ARRIVALS} arrivals",
+                achieved_bound=float(np.max(series.bound(eff, last))))
+        self._require(last, eff, self.horizon[rows])
+        sizes = np.minimum(np.maximum(count, _FIRST_DRAW), MAX_ARRIVALS - count)
+        for size in np.unique(sizes).tolist():
+            sel = sizes == size
+            group = rows[sel]
+            m = group.size
+            gaps = _child(self.rng, self.round, size).exponential(size=(m, size))
+            gammas = last[sel, None] + np.cumsum(gaps, axis=1) / series.intensity
+            comps = (np.zeros((m, size), dtype=np.int64) if len(series.families) == 1
+                     else np.searchsorted(np.cumsum(series.weights), _child(
+                         self.rng, self.round, size, 1).random((m, size))))
+            lowers = series.lowers[comps]
+            with np.errstate(divide="ignore"):
+                pins = np.where(lowers > 0.0, gammas / lowers, np.inf)
+            new = self._store(m * size)
+            new["row"] = np.repeat(group, size)
+            new["pos"] = (count[sel, None] + np.arange(size)).ravel()
+            new["gamma"], new["comp"] = gammas.ravel(), comps.ravel()
+            new["pin"] = np.minimum(np.minimum.accumulate(pins, axis=1),
+                                    pin[sel, None]).ravel()
+            self.offset[group] = (self.size - m * size + size * np.arange(m)
+                                  - count[sel])
+            self.count[group] += size
+        self.check(rows)
+
+    def _require(self, last, eff, horizon) -> None:
+        """Fail fast where certifying over [0, eff] expects over 2 * MAX_ARRIVALS
+        arrivals, for rows that no later arrival can pin earlier than eff."""
+        series = self.series
+        final = last >= eff * series.lowers.max()
+        for v, i in zip(*np.unique(eff[final], return_index=True)):
+            if math.isfinite(series.upper):
+                point = v * series.upper
             else:
-                ci = int(np.searchsorted(series.cum_weights, self.rng.random(),
-                                         side="left"))
-            self.gammas.append(last)
-            self.comp_idx.append(ci)
-            lower = series.lowers[ci]
-            if lower > 0.0:
-                self.pin_time = min(self.pin_time, last / lower)
-            self._values.clear()
-            self._sweep = None
+                pinned = v < horizon[final][i]
+                point = max(v * series.median_max, series._threshold(
+                    v, last[final][i] if pinned else None)[0])
+            if series.intensity * point > 2.0 * MAX_ARRIVALS:
+                raise ResourceError(
+                    f"path series needs about {series.intensity * point:.3g} "
+                    f"arrivals to certify tol {series.tol:g} over [0, {v:g}] "
+                    f"(cap {MAX_ARRIVALS})", achieved_bound=float(
+                        series.bound(v, MAX_ARRIVALS / series.intensity)))
 
-    def bound(self, horizon: float) -> float:
-        """The remainder bound over [0, horizon] of the arrivals drawn so far."""
-        last = self.gammas[-1] if self.gammas else 0.0
-        return self.series.bound(min(horizon, self.pin_time), last)
+    def _store(self, n: int) -> np.ndarray:
+        """The next n slots of the store."""
+        end = self.size + n
+        if end > self.arrivals.size:
+            grown = np.empty(max(end, 2 * self.arrivals.size), dtype=_ARRIVAL)
+            grown[:self.size] = self.arrivals[:self.size]
+            self.arrivals = grown
+        self.size = end
+        return self.arrivals[end - n:end]
 
-    def value(self, t: float) -> float:
-        value = self._values.get(t)
-        if value is None:
-            if self._sweep is None:
-                self._sweep = _PathSweep(
-                    self.series.drift, self.series.families,
-                    np.array(self.gammas, dtype=float),
-                    np.array(self.comp_idx, dtype=int),
-                    np.zeros(len(self.gammas), dtype=int), [self.pin_time], 1)
-            value = float(self._sweep.values(np.array([t]))[0])
-            self._values[t] = value
-        return value
+    def _ends(self, rows, n):
+        """(gamma, pin) of the n-th arrival of each of ``rows``, which must
+        lie in the row's latest draw; (0, inf) for n = 0."""
+        last, pin = np.zeros(n.shape), np.full(n.shape, np.inf)
+        some = n > 0
+        end = self.arrivals[(self.offset[rows] + n - 1)[some]]
+        last[some], pin[some] = end["gamma"], end["pin"]
+        return last, pin
 
-    def snapshot(self, horizon: float) -> IdtPath:
-        series = self.series
-        atoms = tuple(
-            (float(g), series.families[ci])
-            for g, ci in zip(self.gammas, self.comp_idx)
-        )
-        return IdtPath(series.drift, series.intensity, atoms, horizon,
-                       self.bound(horizon))
+    def check(self, rows) -> None:
+        """Search each of ``rows`` from ``kept`` for its certified prefix."""
+        kept = self.kept[rows]
+        lengths = self.count[rows] - kept + 1
+        starts = np.cumsum(lengths) - lengths
+        prefixes = np.repeat(kept - starts, lengths) + np.arange(lengths.sum())
+        ok = self.series.certified(*self._ends(np.repeat(rows, lengths), prefixes),
+                                   np.repeat(self.horizon[rows], lengths))
+        # the first certifying candidate of each row, at least lengths if none
+        first = np.minimum.reduceat(np.where(ok, np.arange(ok.size), ok.size),
+                                    starts) - starts
+        self.kept[rows] = kept + np.minimum(first, lengths)
+        self.certified[rows] = first < lengths
+
+    def _kept_arrivals(self, rows):
+        """The kept arrivals of ``rows``, and their rows' indices in rows."""
+        local = np.full(self.horizon.size, -1)
+        local[rows] = np.arange(rows.size)
+        stored = self.arrivals[:self.size]
+        owner = stored["row"]
+        kept = stored[(local[owner] >= 0) & (stored["pos"] < self.kept[owner])]
+        return kept, local[kept["row"]]
+
+    def sweep(self, rows, m: int) -> _PathSweep:
+        """The kept paths of ``rows``, m points each."""
+        kept, local = self._kept_arrivals(rows)
+        _, pin = self._ends(rows, self.kept[rows])
+        return _PathSweep(self.series.drift, self.series.families,
+                          kept["gamma"], kept["comp"], local, pin, m)
+
+    def path(self, row: int) -> IdtPath:
+        """The kept path of one row."""
+        series, horizon = self.series, float(self.horizon[row])
+        kept, _ = self._kept_arrivals(np.array([row]))
+        (last,), (pin,) = self._ends(np.array([row]), self.kept[[row]])
+        families = [series.families[c] for c in kept["comp"]]
+        return IdtPath(series.drift, series.intensity,
+                       tuple(zip(kept["gamma"].tolist(), families)), horizon,
+                       float(series.bound(min(horizon, pin), last)))
 
 
 def sample_idt_path(triplet: IdtTriplet, horizon: float, rng,
@@ -541,13 +631,17 @@ def sample_idt_path(triplet: IdtTriplet, horizon: float, rng,
     The series stops at the first arrival that certifies the bound.
     """
     horizon = float(horizon)
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    builder = _PathBuilder(_Series(triplet, tol), rng)
-    builder.extend_to(horizon)
-    return builder.snapshot(horizon)
+    if triplet.c == 0.0:
+        return IdtPath(triplet.b, 0.0, (), horizon, 0.0)
+    rows = _Rows(_Series(triplet, tol), [horizon], rng.spawn(1)[0])
+    while not rows.certified[0]:
+        rows.extend(np.array([0]))
+        rows.round += 1
+    return rows.path(0)
 
 
 def sample_conditional_iid(triplet: IdtTriplet, d: int, rng,
@@ -569,17 +663,16 @@ def sample_conditional_iid_batch(triplet: IdtTriplet, d: int, n: int, rng,
     Routes, chosen from the triplet:
 
     * pure drift (c = 0): iid unit exponentials;
-    * a single family with one positive atom: exact jump-by-jump passage;
     * a single Frechet family: exact, H_t = b t + (c t)^(1/alpha) S with S
       positive alpha-stable drawn by Kanter's representation; ``tol`` is
       not used;
-    * anything else: each row draws its levels and doubles a horizon per
-      coordinate until the path, truncated with certified remainder <= tol,
-      exceeds the level; then every coordinate of a block of rows is
-      bisected at once on the row's final arrivals.
+    * anything else: blocks of _PASSAGE_BLOCK rows, each with its own child
+      generator, double each row's horizon from 1 until its certified path
+      exceeds its levels; then every coordinate of the block is bisected at
+      once on the rows' final paths.
 
-    Outputs are deterministic given the generator's state; off the Frechet
-    route, row i does not depend on n.
+    Outputs are deterministic given the generator; off the Frechet route,
+    row i does not depend on n.
     """
     d, n = int(d), int(n)
     if d < 1:
@@ -593,15 +686,6 @@ def sample_conditional_iid_batch(triplet: IdtTriplet, d: int, n: int, rng,
     if triplet.c == 0.0:
         return rng.exponential(size=(n, d))
 
-    jump = _single_jump_structure(triplet)
-    if jump is not None:
-        location, size = jump
-        out = np.empty((n, d))
-        for i in range(n):
-            out[i] = _passage_single_jump(triplet.b, triplet.c, location, size,
-                                          d, rng)
-        return out
-
     components = triplet.mu.components
     if len(components) == 1 and isinstance(components[0][1], Frechet):
         return _passage_frechet(triplet.b, triplet.c, components[0][1], d, n,
@@ -609,50 +693,36 @@ def sample_conditional_iid_batch(triplet: IdtTriplet, d: int, n: int, rng,
 
     series = _Series(triplet, tol)
     out = np.empty((n, d))
-    for start in range(0, n, _PASSAGE_BLOCK):
-        rows = [_bracket_row(series, d, rng)
-                for _ in range(min(_PASSAGE_BLOCK, n - start))]
-        out[start:start + len(rows)] = _bisect_rows(series, rows, d)
+    starts = range(0, n, _PASSAGE_BLOCK)
+    for start, block_rng in zip(starts, rng.spawn(len(starts))):
+        m = min(_PASSAGE_BLOCK, n - start)
+        rows, etas = _passage_rows(series, d, m, block_rng)
+        out[start:start + m] = _bisect(
+            rows.sweep(np.arange(m), d).at, etas.ravel(),
+            np.repeat(rows.horizon, d)).reshape(m, d)
     return out
 
 
-def _bracket_row(series: _Series, d: int, rng):
-    """Draw one row's levels and extend its path until each level is
-    bracketed: (builder, levels, t_hi) with H(t_hi) > level per coordinate."""
-    builder = _PathBuilder(series, rng)
-    etas = rng.exponential(size=d)
-    t_his = np.empty(d)
-    for k, eta in enumerate(etas):
-        t_hi = 1.0
-        builder.extend_to(t_hi)
-        doublings = 0
-        while builder.value(t_hi) <= eta:
-            doublings += 1
-            if doublings > MAX_DOUBLINGS or math.isinf(t_hi):
-                raise ResourceError(
-                    f"no passage after {doublings} horizon doublings",
-                    achieved_bound=builder.bound(t_hi),
-                )
-            t_hi *= 2.0
-            builder.extend_to(t_hi)
-        t_his[k] = t_hi
-    return builder, etas, t_his
-
-
-def _bisect_rows(series: _Series, rows, d: int) -> np.ndarray:
-    """Bisect every coordinate of the bracketed rows in one sweep."""
-    counts = [len(builder.gammas) for builder, _, _ in rows]
-    sweep = _PathSweep(
-        series.drift, series.families,
-        np.array([g for builder, _, _ in rows for g in builder.gammas]),
-        np.array([c for builder, _, _ in rows for c in builder.comp_idx],
-                 dtype=int),
-        np.repeat(np.arange(len(rows)), counts),
-        [builder.pin_time for builder, _, _ in rows], d,
-    )
-    etas = np.concatenate([etas for _, etas, _ in rows])
-    t_his = np.concatenate([t_his for _, _, t_his in rows])
-    return _bisect(sweep.at, etas, t_his).reshape(len(rows), d)
+def _passage_rows(series: _Series, d: int, m: int, rng):
+    """(rows, levels): m rows of d levels drawn from rng, and their series,
+    each certified over a horizon 2^j at which its path exceeds its levels."""
+    etas = rng.exponential(size=(m, d))
+    rows = _Rows(series, np.ones(m), rng)
+    pending = np.ones(m, dtype=bool)
+    while np.any(pending):
+        drawing = np.flatnonzero(pending & ~rows.certified)
+        if drawing.size:
+            rows.extend(drawing)
+        ready = np.flatnonzero(pending & rows.certified)
+        if ready.size:
+            above = (rows.sweep(ready, 1).values(rows.horizon[ready])
+                     > etas[ready].max(axis=1))
+            pending[ready[above]] = False
+            again = ready[~above]
+            rows.horizon[again] *= 2.0
+            rows.check(again)
+        rows.round += 1
+    return rows, etas
 
 
 def _passage_frechet(drift, intensity, F: Frechet, d, n, rng) -> np.ndarray:
@@ -687,75 +757,3 @@ def _passage_frechet(drift, intensity, F: Frechet, d, n, rng) -> np.ndarray:
     # each increasing term alone reaches eta no earlier than the sum does
     t_hi = np.minimum(etas / drift, jump_only)
     return _bisect(evaluate, etas.ravel(), t_hi.ravel()).reshape(n, d)
-
-
-def _single_jump_structure(triplet: IdtTriplet):
-    """(location, jump size) when every path atom produces one jump at
-    gamma / location of deterministic size (possibly +oo), else None."""
-    if len(triplet.mu.components) != 1:
-        return None
-    F = triplet.mu.components[0][1]
-    atoms = F.atom_values()
-    if atoms is None:
-        return None
-    values, _ = atoms
-    positive = values[values > 0.0]
-    if positive.size != 1:
-        return None
-    location = float(positive[0])
-    below = float(F.cdf(location, left=True))
-    size = math.inf if below == 0.0 else -math.log(below)
-    return location, size
-
-
-def _passage_single_jump(drift, intensity, location, size, d, rng):
-    """Exact first passage for drift plus equally sized jumps at gamma_i/location,
-    the gammas arriving at rate ``intensity``."""
-    etas = rng.exponential(size=d)
-    if math.isinf(size):
-        pin = rng.exponential() / (intensity * location)
-        if drift > 0.0:
-            return np.minimum(etas / drift, pin)
-        return np.full(d, pin)
-    if drift == 0.0:
-        # level after m jumps is m*size; passage at the m-th jump time
-        needed = np.floor(etas / size).astype(int) + 1
-        top = int(needed.max())
-        if top > MAX_ARRIVALS:
-            raise ResourceError(
-                f"first passage needs {top} arrivals (cap {MAX_ARRIVALS})",
-                achieved_bound=float(top),
-            )
-        gammas = np.cumsum(rng.exponential(size=top)) / intensity
-        return gammas[needed - 1] / location
-
-    out = np.full(d, np.nan)
-    remaining = sorted(range(d), key=etas.__getitem__)
-    pos = 0
-    gamma = 0.0
-    level = 0.0
-    t_prev = 0.0
-    for _ in range(MAX_ARRIVALS):
-        if pos >= d:
-            break
-        gamma += float(rng.exponential()) / intensity
-        t_jump = gamma / location
-        # passages inside the drift segment [t_prev, t_jump)
-        while pos < d:
-            k = remaining[pos]
-            t_star = (etas[k] - level) / drift
-            if t_star >= t_jump:
-                break
-            out[k] = max(t_star, t_prev)
-            pos += 1
-        level += size
-        # passages exactly at the jump location
-        while pos < d and drift * t_jump + level > etas[remaining[pos]]:
-            out[remaining[pos]] = t_jump
-            pos += 1
-        t_prev = t_jump
-    else:
-        raise ResourceError(
-            f"first passage exceeded {MAX_ARRIVALS} arrivals", achieved_bound=np.nan
-        )
-    return out

@@ -66,6 +66,8 @@ def _z_score(empirical: float, exact: float, se: float) -> float:
 def _run_chunks(rng, n: int, chunk_fn, workers: int):
     """chunk_fn(child, size) per chunk of at most _CHUNK rows, in order; each
     chunk has its own child of rng, so results do not depend on workers."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     sizes = [_CHUNK] * (n // _CHUNK)
     if n % _CHUNK:
         sizes.append(n % _CHUNK)

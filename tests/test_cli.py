@@ -98,6 +98,15 @@ def test_parse_errors_name_field_and_exit_2(spec_dir, capsys):
     code, _ = run_cli(["eval", "--spec", missing, "--t", "1"])
     assert code == 2
 
+    indep = spec_dir({"b": 1}, "indep.json")
+    for command in ("sample", "pickands"):
+        for size in (["--n", "-5"], ["--d", "0", "--n", "0"],
+                     ["--d", "0", "--n", "3"]):
+            argv = [command, "--spec", indep, "--d", "2", *size]
+            code, out = run_cli(argv)
+            assert code == 2, argv
+            assert out == "", argv
+
 
 def test_sample_deterministic_with_header(spec_dir):
     path = spec_dir({"b": 1}, "indep.json")

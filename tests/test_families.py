@@ -21,7 +21,7 @@ from maxstable import (
     rescale_to_unit_mean,
     tilt,
 )
-from maxstable.families import _SizeBiasedTable, _digamma
+from maxstable.families import _SizeBiasedTable, _harmonic
 
 LN2 = math.log(2.0)
 
@@ -280,12 +280,24 @@ def test_unit_exponential_power_tail_large_z(z, a):
 
 def test_digamma_matches_scipy():
     zs = np.concatenate([np.geomspace(1e-12, 1e8, 2001), np.arange(1.0, 40.0)])
-    ours = np.array([_digamma(1.0 + z) for z in zs])
+    ours = np.array([_harmonic(z) - np.euler_gamma for z in zs])
     assert_allclose(ours, special.digamma(1.0 + zs), rtol=0.0, atol=1e-14)
     F = UnitExponential()
     for z in (0.5, 2.0, 7.0, 1e3):
         assert F.power_tail_integral(0.0, z) == pytest.approx(
             special.digamma(z + 1.0) + np.euler_gamma, rel=0.0, abs=1e-14)
+
+
+def test_tilted_psi_matches_mpmath():
+    # psi = digamma(1 + z) + gamma keeps relative precision as z -> 0
+    import mpmath
+
+    mpmath.mp.dps = 40
+    for z in np.geomspace(1e-12, 1e8, 201):
+        exact = mpmath.digamma(1 + mpmath.mpf(float(z))) + mpmath.euler
+        psi = Tilted(UnitExponential(), float(z)).psi
+        assert psi == pytest.approx(float(exact), rel=4 * np.finfo(float).eps,
+                                    abs=0.0)
 
 
 @pytest.mark.parametrize("theta", np.geomspace(1e-12, 50.0, 25))

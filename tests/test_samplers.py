@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -431,8 +432,14 @@ def test_conditional_iid_frechet_exact(b, c, alpha):
     assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
 
 
-def test_conditional_iid_frechet_ignores_tol():
-    tr = IdtTriplet(0.3, 0.7, MixingMeasure.point(Frechet(0.8)))
+@pytest.mark.parametrize("mu", [
+    MixingMeasure.point(Frechet(0.8)),
+    MixingMeasure.point(TwoPoint(LN2)),
+    MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])), (0.5, TwoPoint(LN2))]),
+], ids=["frechet", "two_point", "discrete_mixture"])
+def test_conditional_iid_frechet_ignores_tol(mu):
+    # the stable frailty has no series; bounded supports are summed exactly
+    tr = IdtTriplet(0.3, 0.7, mu)
     y1 = sample_conditional_iid_batch(tr, 3, 50, np.random.default_rng(50), tol=0.5)
     y2 = sample_conditional_iid_batch(tr, 3, 50, np.random.default_rng(50), tol=1e-9)
     assert np.array_equal(y1, y2)
@@ -453,9 +460,19 @@ def test_conditional_iid_mixture_with_pinned_paths():
     assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
 
 
-def test_conditional_iid_rows_do_not_depend_on_n():
-    # rows are bisected in blocks; a row's value must not depend on its block
-    tr = IdtTriplet(0.0, 1.0, MixingMeasure.point(UnitExponential()))
+@pytest.mark.parametrize("tr", [
+    IdtTriplet(0.0, 1.0, MixingMeasure.point(UnitExponential())),
+    IdtTriplet(0.0, 1.0, MixingMeasure.point(TwoPoint(LN2))),
+    IdtTriplet(0.5, 0.5, MixingMeasure.point(TwoPoint(LN2))),
+    IdtTriplet(0.0, 1.0, MixingMeasure.point(Dirac1())),
+    IdtTriplet(0.2, 0.8, MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
+                                        (0.5, UnitExponential())])),
+], ids=["unit_exponential", "two_point", "two_point_drift", "dirac1",
+        "pinned_mixture"])
+def test_conditional_iid_rows_do_not_depend_on_n(tr, monkeypatch):
+    # rows are drawn and bisected in blocks; a row's value must depend
+    # neither on the rows after it in its block nor on the number of blocks
+    monkeypatch.setattr(samplers, "_PASSAGE_BLOCK", 128)
     long = sample_conditional_iid_batch(tr, 2, 1000, np.random.default_rng(52))
     short = sample_conditional_iid_batch(tr, 2, 300, np.random.default_rng(52))
     assert np.array_equal(long[:300], short)
@@ -476,13 +493,25 @@ def test_path_stops_at_first_certifying_arrival(F):
 
 
 def test_path_uncertifiable_tail_raises_quickly():
-    # Frechet(0.95) tails would need ~1e54 arrivals: refuse before drawing them
+    # Frechet(0.95) tails would need ~1e54 arrivals, and horizons of 1e9
+    # about 1e9: refuse before drawing them
     mu = MixingMeasure([(0.5, Frechet(0.95)), (0.5, UnitExponential())])
     tr = IdtTriplet(0.1, 0.9, mu)
+    two_point = IdtTriplet(0.0, 1.0, MixingMeasure.point(TwoPoint(0.7)))
+    exponential = IdtTriplet(0.0, 1.0, MixingMeasure.point(UnitExponential()))
+    start = time.perf_counter()
     with pytest.raises(ResourceError):
         sample_idt_path(tr, 1.0, np.random.default_rng(53))
     with pytest.raises(ResourceError):
         sample_conditional_iid_batch(tr, 2, 5, np.random.default_rng(53))
+    for triplet in (two_point, exponential):
+        for horizon in (1e9, 1e300):
+            with pytest.raises(ResourceError):
+                sample_idt_path(triplet, horizon, np.random.default_rng(53))
+    assert time.perf_counter() - start < 1.0
+    for horizon in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError):
+            sample_idt_path(two_point, horizon, np.random.default_rng(53))
 
 
 def test_pinned_path_solves_threshold_per_pin_time(monkeypatch):
@@ -511,23 +540,24 @@ def test_pinned_path_solves_threshold_per_pin_time(monkeypatch):
 
 def test_conditional_iid_sweep_matches_scalar_bisection():
     # reference: bisect each coordinate alone with scalar evaluations of the
-    # row's final path, as the per-row loop did
+    # row's own final path, an IdtPath over the row's final horizon
     mu = MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
                         (0.5, UnitExponential())])
     tr = IdtTriplet(0.2, 0.8, mu)
     d, n, tol = 3, 200, 1e-3
     y = sample_conditional_iid_batch(tr, d, n, np.random.default_rng(54), tol)
-    rng = np.random.default_rng(54)
-    series = samplers._Series(tr, tol)
+    block_rng, = np.random.default_rng(54).spawn(1)
+    rows, etas = samplers._passage_rows(samplers._Series(tr, tol), d, n,
+                                        block_rng)
     for i in range(n):
-        builder, etas, t_his = samplers._bracket_row(series, d, rng)
+        path = rows.path(i)
         for k in range(d):
-            lo, hi = 0.0, t_his[k]
+            lo, hi = 0.0, path.horizon
             for _ in range(200):
                 if hi - lo <= 1e-10 * hi:
                     break
                 mid = 0.5 * (lo + hi)
-                if builder.value(mid) > etas[k]:
+                if path.value(mid) > etas[i, k]:
                     hi = mid
                 else:
                     lo = mid
