@@ -12,7 +12,8 @@ from them.  Each family exposes the same surface:
 * ``sample_size_biased(rng)`` -- draw from t -> int_0^t s dF(s).
 
 Closed forms are used wherever the family admits one; the generic fallbacks
-go through adaptive Gauss-Kronrod quadrature, monotone bisection and a
+go through adaptive Gauss-Kronrod quadrature (``_quad.tail_quad``, whose
+tail map reads the family's ``tail_index()``), monotone bisection and a
 size-biased table cached by the first draw.  Objects are otherwise immutable
 after construction, and safe to share across threads.
 
@@ -21,10 +22,9 @@ Each law has one implementation.  Point masses are one-atom discrete laws
 F(x) = G(x * scale) serves both Rescaled (scale = mean of G) and Exponential
 (scale = 1 / mean over UnitExponential).
 
-scipy is loaded on first use: by the quadrature fallback (hence by the
-tail integrals of generic families) and by the Frechet tail integrals.
-Tilted's normalizing constant for a UnitExponential base is digamma(z+1) +
-gamma from the scipy-free _harmonic.
+Only numpy is needed: the Frechet tail integrals use the incomplete gamma
+function of _gammainc, and Tilted's normalizing constant for a
+UnitExponential base is digamma(z+1) + gamma from _harmonic.
 """
 
 from __future__ import annotations
@@ -95,13 +95,14 @@ class Cdf:
         if a >= upper:
             return 0.0
 
-        def integrand(u: float) -> float:
-            return -math.expm1(z * float(self.log_cdf(u)))
+        def integrand(u):
+            return -np.expm1(z * np.asarray(self.log_cdf(u)))
 
         atoms = self.atom_values()
         breaks = () if atoms is None else atoms[0]
         scale = upper if math.isfinite(upper) else float(self.quantile(0.99)) + 1.0
-        return tail_quad(integrand, a, scale, upper=upper, breakpoints=breaks)
+        return tail_quad(integrand, a, scale, upper=upper, breakpoints=breaks,
+                         tail_index=self.tail_index())
 
     def mean(self) -> float:
         return float(self.tail_integral(0.0))
@@ -112,6 +113,12 @@ class Cdf:
 
     def support_upper(self) -> float:
         """sup of the support; inf for unbounded families."""
+        return math.inf
+
+    def tail_index(self) -> float:
+        """kappa with 1 - F(x) ~ C x^(-kappa) as x -> oo; inf for tails
+        lighter than every power.  A family with a power tail must declare
+        it: the quadrature maps the tail by it."""
         return math.inf
 
     def atom_values(self):
@@ -322,6 +329,9 @@ class Frechet(UnitMeanCdf):
         # F^z is the same Frechet shape with constant z*c
         return float(_frechet_tail(z * self.c, self.alpha, np.asarray(a, dtype=float)))
 
+    def tail_index(self) -> float:
+        return 1.0 / self.alpha
+
     def sample_size_biased(self, rng, size=None):
         # V = c X^(-1/alpha) is unit exponential under F, so under x dF(x)
         # it is Gamma(1 - alpha)
@@ -337,16 +347,67 @@ class Frechet(UnitMeanCdf):
 
 def _frechet_tail(c: float, alpha: float, a):
     """int_a^oo (1 - exp(-c u^(-1/alpha))) du via incomplete gamma."""
-    from scipy import special
-
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         v = c * a ** (-1.0 / alpha)
-    lower = special.gammainc(1.0 - alpha, v) * special.gamma(1.0 - alpha)
+    lower = _gammainc(1.0 - alpha, v) * math.gamma(1.0 - alpha)
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = v ** (-alpha) * -np.expm1(-v)
     # v = inf (a = 0) and v = 0 (a = inf) both contribute no correction
     corr = np.where(np.isfinite(corr), corr, 0.0)
     return c**alpha * (lower - corr)
+
+
+#: iteration cap and relative stopping size of the incomplete gamma's series
+#: and continued fraction (both converge in well under 100 steps)
+_GAMMAINC_STEPS = 300
+_GAMMAINC_EPS = np.finfo(float).eps
+
+
+def _gammainc(s: float, v) -> np.ndarray:
+    """Regularized lower incomplete gamma P(s, v) for a shape s in (0, 1],
+    elementwise over v >= 0 (Numerical Recipes, section 6.2).
+
+    Below v = s + 1 the series P = v^s e^-v / Gamma(s + 1) sum_n v^n /
+    ((s + 1) ... (s + n)) converges quickly; above it P = 1 - Q, with Q
+    from the continued fraction of the upper function evaluated by the
+    modified Lentz method.  Gamma comes from math.gamma.
+    """
+    shape = np.shape(v)
+    v = np.asarray(v, dtype=float).ravel()
+    out = np.where(v > 0.0, 1.0, 0.0)  # v = inf gives 1
+    low = (v > 0.0) & (v < s + 1.0)
+    high = (v >= s + 1.0) & np.isfinite(v)
+    if low.any():
+        x = v[low]
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        for n in range(1, _GAMMAINC_STEPS):
+            term *= x / (s + n)
+            total += term
+            if np.all(term < _GAMMAINC_EPS * total):
+                break
+        out[low] = x**s * np.exp(-x) / math.gamma(s + 1.0) * total
+    if high.any():
+        x = v[high]
+        tiny = 1e-300
+        b = x + 1.0 - s
+        c = np.full_like(x, 1.0 / tiny)
+        d = 1.0 / b
+        h = d.copy()
+        for i in range(1, _GAMMAINC_STEPS):
+            an = -i * (i - s)
+            b = b + 2.0
+            d = an * d + b
+            d = np.where(np.abs(d) < tiny, tiny, d)
+            c = b + an / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if np.all(np.abs(delta - 1.0) < _GAMMAINC_EPS):
+                break
+        out[high] = 1.0 - x**s * np.exp(-x) / math.gamma(s) * h
+    return out.reshape(shape)
 
 
 class TwoPoint(UnitMeanCdf):
@@ -658,6 +719,10 @@ class Tilted(UnitMeanCdf):
     def support_upper(self) -> float:
         return self.base.support_upper() / self.psi
 
+    def tail_index(self) -> float:
+        # 1 - F(x)^z ~ z (1 - F(x))
+        return self.base.tail_index()
+
     def atom_values(self):
         base_atoms = self.base.atom_values()
         if base_atoms is None:
@@ -706,6 +771,9 @@ class _Scaled(Cdf):
 
     def support_upper(self) -> float:
         return self.base.support_upper() / self.scale
+
+    def tail_index(self) -> float:
+        return self.base.tail_index()
 
     def atom_values(self):
         base_atoms = self.base.atom_values()

@@ -357,6 +357,16 @@ class IdtPath:
                    if F.support_lower() > 0.0), default=math.inf)
         return families, gammas, comps, pin
 
+    def _sweep(self, m: int) -> _PathSweep:
+        families, gammas, comps, pin = self._arrivals
+        return _PathSweep(self.drift, families, gammas, comps,
+                          np.zeros(gammas.size, dtype=int), [pin], m)
+
+    @cached_property
+    def _point_sweep(self) -> _PathSweep:
+        """The sweep of one point, which every call of ``value`` reuses."""
+        return self._sweep(1)
+
     def value(self, t: float) -> float:
         return float(self.values(np.asarray([t]))[0])
 
@@ -364,17 +374,15 @@ class IdtPath:
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < 0.0) or np.any(ts > self.horizon * (1.0 + 1e-12)):
             raise ValueError("evaluation points must lie in [0, horizon]")
-        families, gammas, comps, pin = self._arrivals
         flat = ts.ravel()
+        if flat.size == 1:
+            return self._point_sweep.values(flat).reshape(ts.shape)
         out = np.empty(flat.size)
         # bound the (arrival, point) pairs held at once
-        step = max(1, _SWEEP_PAIRS // max(1, gammas.size))
+        step = max(1, _SWEEP_PAIRS // max(1, self._arrivals[1].size))
         for start in range(0, flat.size, step):
             chunk = flat[start:start + step]
-            sweep = _PathSweep(self.drift, families, gammas, comps,
-                               np.zeros(gammas.size, dtype=int), [pin],
-                               chunk.size)
-            out[start:start + step] = sweep.values(chunk)
+            out[start:start + step] = self._sweep(chunk.size).values(chunk)
         return out.reshape(ts.shape)
 
 

@@ -7,9 +7,12 @@ vectors, normalized to l(1,0,...) = 1 and satisfying
 
 with exp(-l(t)) the joint survival function of the associated min-stable
 exponential sequence.  Closed forms are dispatched per family; the generic
-path integrates 1 - prod_k F(s/t_k) by adaptive Gauss-Kronrod quadrature
-with a substituted tail piece, as l(t) = m l(t/m) with m = max_k t_k
-(absolute tolerance 1e-9 for m >= 1, relative tolerance 1e-9 below).
+path integrates 1 - prod_k F(s/t_k) by the vectorized Gauss-Kronrod
+quadrature of ``_quad.tail_quad``, one array of nodes per round, with the
+infinite tail mapped by the family's tail index.  It evaluates
+l(t) = m l(t/m) with m = max_k t_k (absolute tolerance 1e-9 for m >= 1,
+relative tolerance 1e-9 below), and raises NumericError when the
+quadrature's error estimate misses that tolerance.
 
 By convention s / 0 = oo and F(oo) = 1, so zero entries of t drop out, and
 the zero weight vector evaluates to 0.
@@ -131,11 +134,9 @@ def _stdf_quadrature(F: Cdf, tt: np.ndarray) -> float:
     t_unique, counts = np.unique(tt / m, return_counts=True)
     powers = counts.astype(float)
 
-    def integrand(s: float) -> float:
+    def integrand(s):
         # 1 - prod_k F(s/t_k) without cancellation where every factor is near 1
-        logs = np.asarray(F.log_cdf(s / t_unique))
-        total = float(powers @ logs)
-        return -math.expm1(total)
+        return -np.expm1(np.asarray(F.log_cdf(s[:, None] / t_unique)) @ powers)
 
     upper = F.support_upper()
     scale = max(float(F.quantile(0.999)), 1.0)
@@ -144,7 +145,8 @@ def _stdf_quadrature(F: Cdf, tt: np.ndarray) -> float:
     if atoms is not None:
         breaks = np.unique(np.outer(atoms[0], t_unique).ravel())
     return m * tail_quad(integrand, 0.0, scale, upper=upper,
-                         breakpoints=breaks, abs_tol=_QUAD_TOL / max(m, 1.0))
+                         breakpoints=breaks, abs_tol=_QUAD_TOL / max(m, 1.0),
+                         tail_index=F.tail_index())
 
 
 def stdf_canonical(model: CanonicalModel, t, method: str = "auto") -> float:
@@ -275,13 +277,13 @@ def pairwise_l2_identity(F: UnitMeanCdf) -> float:
         surv = 1.0 - np.asarray(F.cdf(knots[:-1]))
         integral = float(np.sum(surv**2 * np.diff(knots)))
     else:
-        def integrand(s: float) -> float:
-            survival = -math.expm1(float(F.log_cdf(s)))
-            return survival * survival
+        def integrand(s):
+            return np.expm1(np.asarray(F.log_cdf(s))) ** 2
 
         scale = max(float(F.quantile(0.999)), 1.0)
+        # (1 - F)^2 has twice the tail index of F
         integral = tail_quad(integrand, 0.0, scale, upper=F.support_upper(),
-                             abs_tol=_QUAD_TOL)
+                             abs_tol=_QUAD_TOL, tail_index=2.0 * F.tail_index())
     return 2.0 - integral
 
 

@@ -399,3 +399,68 @@ def test_cli_start_up_leaves_scipy_unloaded(spec_dir):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_NO_SCIPY_SCRIPT = r"""
+import io, sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+
+import numpy as np
+
+import maxstable.cli as cli
+from maxstable import (Frechet, Rescaled, Exponential, Tilted, UnitExponential,
+                       pairwise_l2_identity, stdf_extremal, tilt)
+
+tilted, frechet, triplet = sys.argv[1:]
+runs = [
+    ["eval", "--spec", tilted, "--t", "1,2,0.5"],
+    ["eval", "--spec", frechet, "--t", "1,2,0.5"],
+    ["sample", "--spec", tilted, "--d", "3", "--n", "50", "--seed", "1"],
+    ["sample", "--spec", frechet, "--d", "3", "--n", "50", "--seed", "1"],
+    ["verify", "--spec", tilted, "--t", "1,1", "--n", "2000", "--seed", "1"],
+    ["path", "--spec", triplet, "--horizon", "2", "--grid", "5", "--seed", "1"],
+]
+for argv in runs:
+    out = io.StringIO()
+    assert cli.run(argv, out) == 0, argv
+    assert out.getvalue(), argv
+t = np.array([1.0, 2.0, 0.5])
+for F in (tilt(UnitExponential(), 2.0), Frechet(0.9), Tilted(Frechet(0.9), 2.0),
+          Rescaled(Exponential(2.0))):
+    assert t.max() <= stdf_extremal(F, t, method="quadrature") <= t.sum()
+    assert 1.0 < pairwise_l2_identity(F) < 2.0
+assert 0.0 < Frechet(0.5).tail_integral(2.0) < 1.0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_needs_no_scipy(spec_dir):
+    # every subcommand and the quadrature routes, with any import of scipy
+    # raising ImportError
+    paths = [
+        spec_dir({"b": 0.0, "mu": [{"weight": 1.0, "family": "tilted", "z": 2.0,
+                                    "base": {"family": "unit_exponential"}}]},
+                 "tilted.json"),
+        spec_dir({"b": 0.2, "mu": [{"weight": 1.0, "family": "frechet",
+                                    "alpha": 0.7}]}, "frechet.json"),
+        spec_dir({"b": 0.0, "c": 1.0, "mu": [
+            {"weight": 0.5, "family": "frechet", "alpha": 0.5},
+            {"weight": 0.5, "family": "tilted", "z": 2.0,
+             "base": {"family": "unit_exponential"}}]}, "triplet.json"),
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, *paths], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

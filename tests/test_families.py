@@ -21,7 +21,7 @@ from maxstable import (
     rescale_to_unit_mean,
     tilt,
 )
-from maxstable.families import _SizeBiasedTable, _harmonic
+from maxstable.families import _SizeBiasedTable, _gammainc, _harmonic
 
 LN2 = math.log(2.0)
 
@@ -286,6 +286,38 @@ def test_digamma_matches_scipy():
     for z in (0.5, 2.0, 7.0, 1e3):
         assert F.power_tail_integral(0.0, z) == pytest.approx(
             special.digamma(z + 1.0) + np.euler_gamma, rel=0.0, abs=1e-14)
+
+
+def test_gammainc_matches_scipy():
+    # shapes 1 - alpha of the Frechet tail integrals; where scipy and ours
+    # differ by more than 1e-13, mpmath decides (scipy itself is ~1e-13 off
+    # at some v below 1e-200)
+    import mpmath
+
+    mpmath.mp.dps = 40
+    shapes = np.concatenate([np.geomspace(1e-6, 0.5, 12),
+                             1.0 - np.geomspace(1e-6, 0.5, 12)[::-1]])
+    vs = np.concatenate([[0.0, np.inf], np.geomspace(1e-300, 1e3, 400),
+                         np.linspace(0.5, 3.0, 101)])
+    for s in shapes:
+        ours, ref = _gammainc(s, vs), special.gammainc(s, vs)
+        assert np.all(ours[:2] == [0.0, 1.0])
+        for v, value, expected in zip(vs[2:], ours[2:], ref[2:]):
+            if abs(value - expected) <= 1e-13 * expected:
+                continue
+            exact = float(mpmath.gammainc(mpmath.mpf(float(s)), 0, mpmath.mpf(float(v)),
+                                          regularized=True))
+            assert value == pytest.approx(exact, rel=1e-13, abs=0.0), (s, v)
+
+
+def test_frechet_tail_integral_extreme_arguments():
+    F = Frechet(0.5)
+    a = np.array([0.0, 1e-300, 1e-10, 1.0, 1e10, 1e300, np.inf])
+    values = F.tail_integral(a)
+    assert values[0] == pytest.approx(1.0, rel=1e-14)
+    assert np.all(np.diff(values) <= 0.0) and values[-1] == 0.0
+    assert F.tail_integral(2.0) == pytest.approx(
+        quad(lambda u: -math.expm1(F.log_cdf(u)), 2.0, np.inf, epsabs=0.0)[0], rel=1e-10)
 
 
 def test_tilted_psi_matches_mpmath():

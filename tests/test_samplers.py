@@ -287,6 +287,20 @@ def test_path_point_mass_pins_to_infinity():
     assert np.all(np.isinf(vals[ts >= gamma]))
 
 
+def test_path_value_matches_values_bitwise():
+    # value reuses one cached single-point sweep; values builds its own
+    mu = MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
+                        (0.3, UnitExponential()), (0.2, Frechet(0.6))])
+    tr = IdtTriplet(0.2, 0.8, mu)
+    for seed in range(5):
+        path = sample_idt_path(tr, 3.0, np.random.default_rng(seed), 1e-3)
+        ts = np.random.default_rng(100 + seed).uniform(0.0, 3.0, 64)
+        ts[:2] = 0.0, 3.0
+        scalar = np.array([path.value(t) for t in ts])
+        assert np.array_equal(scalar, path.values(ts))
+        assert np.array_equal(scalar[:1], path.values(ts[:1]))
+
+
 def test_path_two_point_compound_poisson():
     # H_t = ln2 * N(2t): E[e^-H_1] = exp(-2 (1 - 1/2)) = e^-1
     tr = IdtTriplet(0.0, 1.0, MixingMeasure.point(TwoPoint(LN2)))

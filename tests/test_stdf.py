@@ -364,3 +364,18 @@ def test_copula_near_one_respects_upper_bound():
     t = -math.log(0.99999)
     expected = math.exp(-t * stdf_canonical(model, [1.0, 1.0]))
     assert value == pytest.approx(expected, abs=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.97, 0.99, 0.999, 0.9999, 0.99999])
+def test_quadrature_heavy_frechet_is_right_or_raises(alpha):
+    # the quadrature maps the tail by the family's tail index 1/alpha; below
+    # scale 1 its tolerance is relative and it must not give up
+    F = Frechet(alpha)
+    for t in ([1.0, 2.0, 0.5], [1e-8, 3e-8], [1.0] * 10, [1e250, 3e250]):
+        closed = stdf_extremal(F, t)
+        try:
+            value = stdf_extremal(F, t, method="quadrature")
+        except NumericError:
+            assert max(t) > 2.0
+            continue
+        assert value == pytest.approx(closed, rel=1e-9)
