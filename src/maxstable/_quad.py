@@ -5,11 +5,12 @@ The integrals appearing throughout the package all have the shape
 integrable.  ``tail_quad`` integrates them with the 7-point Gauss and
 15-point Kronrod pair (G7/K15, as in QUADPACK, Piessens et al. 1983),
 written in numpy.  The range is cut at the breakpoints into pieces of
-_FIRST_SPLIT equal panels each; each round evaluates the 15 nodes of every
-open panel in one call of the array integrand ``g``, retires the panels
-whose error estimate |K15 - G7| is negligible and bisects the others,
-until the summed estimate is at most the tolerance.  A call that does not
-reach the tolerance within a fixed round and panel cap raises
+_FIRST_SPLIT equal panels each (one each when there are too many pieces);
+each round evaluates the 15 nodes of every open panel in one call of the
+array integrand ``g``, retires the panels whose error estimate |K15 - G7|
+is negligible and bisects the others, until the summed estimate is at
+most the tolerance.  A call that does not reach the tolerance within a
+fixed round cap, or whose bisections would exceed a panel cap, raises
 NumericError; it never returns a value whose error estimate exceeds the
 tolerance.
 
@@ -84,7 +85,8 @@ def tail_quad(
 
     ``g`` maps a 1-d array of points to the array of its values.
     ``scale`` locates where the mass of g lives (the split point is placed
-    beyond it); ``breakpoints`` marks discontinuities of g; a finite
+    beyond it); ``breakpoints`` marks discontinuities of g (those beyond
+    the split point are ignored); a finite
     ``upper`` means g vanishes identically beyond it.  ``tail_index`` is
     kappa > 1 with g(s) ~ C s^(-kappa) as s -> oo, or oo if g decays faster
     than every power.
@@ -108,27 +110,28 @@ def tail_quad(
     direct = np.unique(np.concatenate([[a, split], inner]))
     lo, hi = [direct[:-1]], [direct[1:]]
     if tail is not None:
-        mapped = tail.edges(breaks[breaks > split])
+        mapped = tail.edges()
         lo.append(mapped[:-1])
         hi.append(mapped[1:])
     n_direct = direct.size - 1
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     is_tail = np.arange(lo.size) >= n_direct
-    # the first round already splits each piece, which saves rounds
-    width = (hi - lo) / _FIRST_SPLIT
-    edges = lo[:, None] + width[:, None] * np.arange(_FIRST_SPLIT + 1)
+    # the first round already splits each piece, which saves rounds, unless
+    # there are so many pieces that one panel each is enough to start with
+    split_first = _FIRST_SPLIT if lo.size * _FIRST_SPLIT <= _MAX_PANELS else 1
+    width = (hi - lo) / split_first
+    edges = lo[:, None] + width[:, None] * np.arange(split_first + 1)
     edges[:, -1] = hi
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    is_tail = np.repeat(is_tail, _FIRST_SPLIT)
+    is_tail = np.repeat(is_tail, split_first)
+    # the cap bounds the panels made by bisection, not the starting ones
+    max_panels = max(_MAX_PANELS, lo.size)
     # a retired panel may keep an error of its share of the root width,
     # so that all retired panels together keep at most abs_tol / 4
     allowance = np.full(lo.size, abs_tol / (4.0 * lo.size))
 
     done_value, done_err = [], 0.0
-    kronrod, err_total = np.zeros(0), math.nan
     for _ in range(_MAX_ROUNDS):
-        if lo.size > _MAX_PANELS:
-            break
         half = 0.5 * (hi - lo)
         x = (0.5 * (hi + lo))[:, None] + half[:, None] * _XK
         s, jac = x, np.ones_like(x)
@@ -154,7 +157,7 @@ def tail_quad(
         done_err += float(np.sum(err[retire]))
         keep = ~retire
         kronrod = kronrod[keep]
-        if not keep.any():
+        if not keep.any() or 2 * int(np.count_nonzero(keep)) > max_panels:
             break
         lo, hi, half = lo[keep], hi[keep], half[keep]
         mid = lo + half
@@ -178,18 +181,13 @@ class _Tail:
         self.abs_tol = abs_tol
         self.p = 1.0 / (kappa - 1.0) if math.isfinite(kappa) else None
 
-    def edges(self, breaks: np.ndarray) -> np.ndarray:
-        """Panel edges in the mapped variable: 0, 1, the images of
-        ``breaks`` (all beyond the split) and, for an algebraic tail, the
-        points 1/3, 3 and 30 over p."""
-        log_ratio = np.log(breaks / self.split)
+    def edges(self) -> np.ndarray:
+        """Panel edges in the mapped variable: 0, 1 and, for an algebraic
+        tail, the points 1/3, 3 and 30 over p."""
         if self.p is None:
-            mapped = log_ratio / (1.0 + log_ratio)
-        else:
-            mapped = -np.expm1(-log_ratio / self.p)
-            mapped = np.concatenate([mapped, np.array([1.0 / 3.0, 3.0, 30.0]) / self.p])
-        mapped = mapped[(mapped > 0.0) & (mapped < 1.0)]
-        return np.unique(np.concatenate([[0.0, 1.0], mapped]))
+            return np.array([0.0, 1.0])
+        mapped = np.array([1.0 / 3.0, 3.0, 30.0]) / self.p
+        return np.unique(np.concatenate([[0.0, 1.0], mapped[mapped < 1.0]]))
 
     def map(self, x: np.ndarray):
         """(s, ds/dx) at the mapped nodes x in (0, 1); ds/dx = 0 marks a

@@ -362,11 +362,6 @@ class IdtPath:
         return _PathSweep(self.drift, families, gammas, comps,
                           np.zeros(gammas.size, dtype=int), [pin], m)
 
-    @cached_property
-    def _point_sweep(self) -> _PathSweep:
-        """The sweep of one point, which every call of ``value`` reuses."""
-        return self._sweep(1)
-
     def value(self, t: float) -> float:
         return float(self.values(np.asarray([t]))[0])
 
@@ -375,8 +370,6 @@ class IdtPath:
         if np.any(ts < 0.0) or np.any(ts > self.horizon * (1.0 + 1e-12)):
             raise ValueError("evaluation points must lie in [0, horizon]")
         flat = ts.ravel()
-        if flat.size == 1:
-            return self._point_sweep.values(flat).reshape(ts.shape)
         out = np.empty(flat.size)
         # bound the (arrival, point) pairs held at once
         step = max(1, _SWEEP_PAIRS // max(1, self._arrivals[1].size))

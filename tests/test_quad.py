@@ -75,3 +75,16 @@ def test_empty_range_and_invalid_tail_index():
     assert tail_quad(lambda s: np.ones_like(s), 2.0, 1.0, upper=1.0) == 0.0
     with pytest.raises(ValueError):
         tail_quad(lambda s: np.exp(-s), 0.0, 1.0, tail_index=1.0)
+
+
+def test_many_breakpoints_forced_quadrature():
+    # 200 atoms times 3 distinct t entries: 600 breakpoints, more pieces
+    # than the first round could split into 8 panels each within the cap
+    from maxstable import Discrete, stdf_extremal
+    from maxstable.stdf import _stdf_atomic
+
+    values = np.linspace(0.01, 1.99, 200)
+    F = Discrete([(v, 1.0) for v in values])
+    t = np.array([1.0, 0.7, 0.3])
+    exact = _stdf_atomic(F, t, F.atom_values()[0])
+    assert stdf_extremal(F, t, method="quadrature") == pytest.approx(exact, rel=1e-9)

@@ -288,7 +288,8 @@ def test_path_point_mass_pins_to_infinity():
 
 
 def test_path_value_matches_values_bitwise():
-    # value reuses one cached single-point sweep; values builds its own
+    # value is values at one point; a point's value does not depend on the
+    # other points of its sweep
     mu = MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
                         (0.3, UnitExponential()), (0.2, Frechet(0.6))])
     tr = IdtTriplet(0.2, 0.8, mu)
@@ -554,7 +555,8 @@ def test_pinned_path_solves_threshold_per_pin_time(monkeypatch):
 
 def test_conditional_iid_sweep_matches_scalar_bisection():
     # reference: bisect each coordinate alone with scalar evaluations of the
-    # row's own final path, an IdtPath over the row's final horizon
+    # row's own final path, an IdtPath over the row's final horizon, through
+    # one single-point sweep per row (bit-identical to path.value)
     mu = MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
                         (0.5, UnitExponential())])
     tr = IdtTriplet(0.2, 0.8, mu)
@@ -565,13 +567,14 @@ def test_conditional_iid_sweep_matches_scalar_bisection():
                                         block_rng)
     for i in range(n):
         path = rows.path(i)
+        sweep = path._sweep(1)
         for k in range(d):
             lo, hi = 0.0, path.horizon
             for _ in range(200):
                 if hi - lo <= 1e-10 * hi:
                     break
                 mid = 0.5 * (lo + hi)
-                if path.value(mid) > etas[i, k]:
+                if sweep.values(np.array([mid]))[0] > etas[i, k]:
                     hi = mid
                 else:
                     lo = mid
