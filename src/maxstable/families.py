@@ -73,7 +73,7 @@ class Cdf:
         raise NotImplementedError
 
     def log_cdf(self, x, left: bool = False):
-        """log F(x), full relative precision where F is close to one."""
+        """log F(x) for x >= 0, full relative precision where F is close to one."""
         with np.errstate(divide="ignore"):
             return np.log(self.cdf(x, left=left))
 
@@ -91,17 +91,22 @@ class Cdf:
 
     def power_tail_integral(self, a: float, z: float) -> float:
         """int_a^oo (1 - F(u)^z) du for z > 0 (quadrature fallback)."""
-        upper = self.support_upper()
-        if a >= upper:
-            return 0.0
+        return self._product_tail(a, np.ones(1), np.array([float(z)]), 1e-10)
 
-        def integrand(u):
-            return -np.expm1(z * np.asarray(self.log_cdf(u)))
+    def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
+        """int_a^oo (1 - prod_k F(s / t_k)^powers_k) ds to absolute tolerance
+        ``abs_tol``, for weights t with max t = 1: l_F(t) at a = 0."""
 
+        def integrand(s):
+            # no cancellation where every factor is near 1; s / 0 = oo gives F = 1
+            with np.errstate(divide="ignore", over="ignore"):
+                return -np.expm1(np.asarray(self.log_cdf(s[:, None] / t)) @ powers)
+
+        scale = max(float(self.quantile(0.999)), 1.0)
         atoms = self.atom_values()
-        breaks = () if atoms is None else atoms[0]
-        scale = upper if math.isfinite(upper) else float(self.quantile(0.99)) + 1.0
-        return tail_quad(integrand, a, scale, upper=upper, breakpoints=breaks,
+        breaks = () if atoms is None else np.outer(atoms[0], t).ravel()
+        return tail_quad(integrand, a, scale, upper=self.support_upper(),
+                         breakpoints=breaks, abs_tol=abs_tol,
                          tail_index=self.tail_index())
 
     def mean(self) -> float:
@@ -303,7 +308,7 @@ class Frechet(UnitMeanCdf):
     def cdf(self, x, left: bool = False):
         x_arr = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            out = np.exp(-self.c * x_arr ** (-1.0 / self.alpha))
+            out = np.exp(-self.c * np.maximum(x_arr, 0.0) ** (-1.0 / self.alpha))
         return _maybe_scalar(out, x_arr.ndim == 0)
 
     def log_cdf(self, x, left: bool = False):
@@ -314,9 +319,10 @@ class Frechet(UnitMeanCdf):
 
     def quantile(self, p):
         p_arr = np.asarray(p, dtype=float)
+        # 0 - log p, not -log p: at p = 1 that is +0, so the quantile is +inf
         with np.errstate(divide="ignore"):
             out = np.where(
-                p_arr <= 0.0, 0.0, (self.c / -np.log(p_arr)) ** self.alpha
+                p_arr <= 0.0, 0.0, (self.c / (0.0 - np.log(p_arr))) ** self.alpha
             )
         return _maybe_scalar(out, p_arr.ndim == 0)
 
@@ -349,12 +355,15 @@ def _frechet_tail(c: float, alpha: float, a):
     """int_a^oo (1 - exp(-c u^(-1/alpha))) du via incomplete gamma."""
     with np.errstate(divide="ignore", over="ignore"):
         v = c * a ** (-1.0 / alpha)
+        lead = c * a ** ((alpha - 1.0) / alpha) * (alpha / (1.0 - alpha))
     lower = _gammainc(1.0 - alpha, v) * math.gamma(1.0 - alpha)
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = v ** (-alpha) * -np.expm1(-v)
     # v = inf (a = 0) and v = 0 (a = inf) both contribute no correction
     corr = np.where(np.isfinite(corr), corr, 0.0)
-    return c**alpha * (lower - corr)
+    # below v = eps the series' leading term c^alpha v^(1 - alpha) alpha /
+    # (1 - alpha) is exact to rounding, and stays normal where v goes subnormal
+    return np.where(v < _GAMMAINC_EPS, lead, c**alpha * (lower - corr))
 
 
 #: iteration cap and relative stopping size of the incomplete gamma's series
@@ -430,7 +439,7 @@ class TwoPoint(UnitMeanCdf):
         if left:
             out = np.where(x_arr > self.q, 1.0, np.where(x_arr > 0.0, self.p0, 0.0))
         else:
-            out = np.where(x_arr >= self.q, 1.0, self.p0)
+            out = np.where(x_arr >= self.q, 1.0, np.where(x_arr >= 0.0, self.p0, 0.0))
         return _maybe_scalar(out, x_arr.ndim == 0)
 
     def quantile(self, p):
@@ -465,7 +474,7 @@ class UnitExponential(UnitMeanCdf):
 
     def cdf(self, x, left: bool = False):
         x_arr = np.asarray(x, dtype=float)
-        return _maybe_scalar(-np.expm1(-x_arr), x_arr.ndim == 0)
+        return _maybe_scalar(-np.expm1(-np.maximum(x_arr, 0.0)), x_arr.ndim == 0)
 
     def log_cdf(self, x, left: bool = False):
         x_arr = np.asarray(x, dtype=float)

@@ -9,9 +9,10 @@ with exp(-l(t)) the joint survival function of the associated min-stable
 exponential sequence.  Closed forms are dispatched per family; the generic
 path integrates 1 - prod_k F(s/t_k) by the vectorized Gauss-Kronrod
 quadrature of ``_quad.tail_quad``, one array of nodes per round, with the
-infinite tail mapped by the family's tail index.  It evaluates
-l(t) = m l(t/m) with m = max_k t_k (absolute tolerance 1e-9 for m >= 1,
-relative tolerance 1e-9 below), and raises NumericError when the
+infinite tail mapped by the family's tail index; the family's
+``_product_tail`` sets the integral up.  It evaluates l(t) = m l(t/m) with
+m = max_k t_k to absolute tolerance 1e-9 on l(t/m) >= 1, i.e. relative
+tolerance 1e-9 on l(t) at every scale, and raises NumericError when the
 quadrature's error estimate misses that tolerance.
 
 By convention s / 0 = oo and F(oo) = 1, so zero entries of t drop out, and
@@ -127,26 +128,12 @@ def _stdf_iid_exponential(tt: np.ndarray) -> float:
 
 
 def _stdf_quadrature(F: Cdf, tt: np.ndarray) -> float:
-    # l(t) = m l(t/m) with m = max t: the integrand's mass then sits on the
-    # scale the quadrature expects, and the tolerance, absolute for m >= 1,
-    # becomes relative below that
+    # l(t) = m l(t/m) with m = max t puts the integrand's mass on the scale
+    # the quadrature expects, and l(t/m) >= 1 makes its absolute tolerance
+    # relative on l(t) at every scale
     m = float(np.max(tt))
     t_unique, counts = np.unique(tt / m, return_counts=True)
-    powers = counts.astype(float)
-
-    def integrand(s):
-        # 1 - prod_k F(s/t_k) without cancellation where every factor is near 1
-        return -np.expm1(np.asarray(F.log_cdf(s[:, None] / t_unique)) @ powers)
-
-    upper = F.support_upper()
-    scale = max(float(F.quantile(0.999)), 1.0)
-    atoms = F.atom_values()
-    breaks = ()
-    if atoms is not None:
-        breaks = np.unique(np.outer(atoms[0], t_unique).ravel())
-    return m * tail_quad(integrand, 0.0, scale, upper=upper,
-                         breakpoints=breaks, abs_tol=_QUAD_TOL / max(m, 1.0),
-                         tail_index=F.tail_index())
+    return m * F._product_tail(0.0, t_unique, counts.astype(float), _QUAD_TOL)
 
 
 def stdf_canonical(model: CanonicalModel, t, method: str = "auto") -> float:

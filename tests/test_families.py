@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,49 @@ def test_frechet_tail_integral_extreme_arguments():
     assert np.all(np.diff(values) <= 0.0) and values[-1] == 0.0
     assert F.tail_integral(2.0) == pytest.approx(
         quad(lambda u: -math.expm1(F.log_cdf(u)), 2.0, np.inf, epsabs=0.0)[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 0.99, 0.99999])
+def test_frechet_tail_integral_matches_mpmath(alpha):
+    # v = c a^(-1/alpha) goes subnormal, then 0, long before the value does;
+    # the value must keep its digits wherever it is a normal double
+    import mpmath
+
+    F = Frechet(alpha)
+    a = np.concatenate([np.geomspace(1e-10, 1e300, 311), [3.2e161, 1e162, 3.2e290]])
+    values = F.tail_integral(a)
+    with mpmath.workdps(50):
+        al = mpmath.mpf(alpha)
+        c = mpmath.gamma(1 - al) ** (-1 / al)
+        for x, value in zip(a, values):
+            v = c * mpmath.mpf(float(x)) ** (-1 / al)
+            exact = float(c**al * (mpmath.gammainc(1 - al, 0, v)
+                                   + v ** (-al) * mpmath.expm1(-v)))
+            if exact >= np.finfo(float).tiny:
+                assert value == pytest.approx(exact, rel=1e-13, abs=0.0), x
+
+
+@pytest.mark.parametrize("F", all_families() + [
+    Tilted(Frechet(0.5), 2.0), Exponential(2.0), PointMass(2.5),
+    DiscreteCdf([(0.5, 0.5), (3.0, 0.5)])], ids=repr)
+def test_cdf_vanishes_below_zero(F):
+    x = np.array([-1e300, -1.0, -1e-300])
+    for left in (False, True):
+        assert np.all(np.asarray(F.cdf(x, left=left)) == 0.0)
+        assert float(F.cdf(-1.0, left=left)) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.99999])
+def test_frechet_quantile_at_one_is_inf(alpha):
+    F = Frechet(alpha)
+    p = np.random.default_rng(5).random(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(F.quantile(1.0)) == math.inf
+        assert float(Tilted(F, 2.0).quantile(1.0)) == math.inf
+        assert F.quantile(np.array([0.0, 1.0])).tolist() == [0.0, math.inf]
+        # below 1 the draws keep their bits
+        assert np.array_equal(F.quantile(p), (F.c / -np.log(p)) ** alpha)
 
 
 def test_tilted_psi_matches_mpmath():

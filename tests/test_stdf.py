@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -351,9 +352,24 @@ def test_quadrature_tiny_scale_is_homogeneous(c):
                                                     rel=1e-9)
 
 
-def test_quadrature_large_scale_raises():
-    with pytest.raises(NumericError):
-        stdf_extremal(tilt(UnitExponential(), 2.0), 1e6 * np.array([1.0, 2.0, 0.5]))
+@pytest.mark.parametrize("c", [1e6, 1e250])
+def test_quadrature_large_scale_is_homogeneous(c):
+    # the tolerance is relative at every scale: large t neither raises nor
+    # loses digits
+    t = np.array([1.0, 2.0, 0.5])
+    F = tilt(UnitExponential(), 2.0)
+    assert stdf_extremal(F, c * t) == pytest.approx(c * stdf_extremal(F, t),
+                                                    rel=1e-9)
+
+
+@pytest.mark.parametrize("F", [tilt(UnitExponential(), 2.0), Frechet(0.5)], ids=repr)
+def test_quadrature_weights_below_rounding_of_the_maximum(F):
+    # t / max t underflows to 0 for the small entry: s / 0 = oo and F(oo) = 1,
+    # with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = stdf_extremal(F, [1e300, 1e-300], method="quadrature")
+    assert value == pytest.approx(1e300, rel=1e-9)
 
 
 def test_copula_near_one_respects_upper_bound():
@@ -368,14 +384,10 @@ def test_copula_near_one_respects_upper_bound():
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.97, 0.99, 0.999, 0.9999, 0.99999])
 def test_quadrature_heavy_frechet_is_right_or_raises(alpha):
-    # the quadrature maps the tail by the family's tail index 1/alpha; below
-    # scale 1 its tolerance is relative and it must not give up
+    # the quadrature maps the tail by the family's tail index 1/alpha; its
+    # tolerance is relative at every scale and it must not give up
     F = Frechet(alpha)
-    for t in ([1.0, 2.0, 0.5], [1e-8, 3e-8], [1.0] * 10, [1e250, 3e250]):
-        closed = stdf_extremal(F, t)
-        try:
-            value = stdf_extremal(F, t, method="quadrature")
-        except NumericError:
-            assert max(t) > 2.0
-            continue
-        assert value == pytest.approx(closed, rel=1e-9)
+    for t in ([1.0, 2.0, 0.5], [1e-8, 3e-8], [1.0] * 10, [1e250, 3e250],
+              [1e6, 2e6, 5e5]):
+        value = stdf_extremal(F, t, method="quadrature")
+        assert value == pytest.approx(stdf_extremal(F, t), rel=1e-9)
