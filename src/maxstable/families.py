@@ -11,11 +11,11 @@ from them.  Each family exposes the same surface:
 * ``sample(rng)``       -- inverse-transform sampling,
 * ``sample_size_biased(rng)`` -- draw from t -> int_0^t s dF(s).
 
-Closed forms are used wherever the family admits one; the generic fallbacks
-go through adaptive Gauss-Kronrod quadrature (``_quad.tail_quad``, whose
-tail map reads the family's ``tail_index()``), monotone bisection and a
-size-biased table cached by the first draw.  Objects are otherwise immutable
-after construction, and safe to share across threads.
+Closed forms live in ``_product_tail``: int_a^oo (1 - prod_k F(s/t_k)^p_k) ds,
+behind the tail integrals and l_F(t), summed exactly for atomic laws.  The
+fallbacks are Gauss-Kronrod quadrature (``_quad.tail_quad``, tail map from
+``tail_index()``), monotone bisection and a size-biased table cached by the
+first draw.  Objects are otherwise immutable and safe to share across threads.
 
 Each law has one implementation.  Point masses are one-atom discrete laws
 (Dirac1 a Discrete, PointMass a DiscreteCdf), and the scale wrapper
@@ -57,6 +57,8 @@ __all__ = [
 UNIT_MEAN_TOL = 1e-9
 
 _SERIES_GROWTH = math.log(1e4)
+#: subset enumeration cap for inclusion-exclusion sums
+INCLUSION_EXCLUSION_MAX_DIM = 20
 
 
 def _maybe_scalar(arr, scalar_in):
@@ -90,12 +92,31 @@ class Cdf:
         return out.reshape(a_arr.shape)
 
     def power_tail_integral(self, a: float, z: float) -> float:
-        """int_a^oo (1 - F(u)^z) du for z > 0 (quadrature fallback)."""
+        """int_a^oo (1 - F(u)^z) du for z > 0."""
         return self._product_tail(a, np.ones(1), np.array([float(z)]), 1e-10)
 
     def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
-        """int_a^oo (1 - prod_k F(s / t_k)^powers_k) ds to absolute tolerance
-        ``abs_tol``, for weights t with max t = 1: l_F(t) at a = 0."""
+        """int_a^oo (1 - prod_k F(s / t_k)^powers_k) ds for a >= 0, powers > 0
+        and max t = 1 (l_F(t) at a = 0 and unit powers): exact for atomic laws,
+        else to absolute tolerance ``abs_tol``.  Closed forms override it."""
+        atoms = self.atom_values()
+        if atoms is None:
+            return self._product_tail_quad(a, t, powers, abs_tol)
+        # factor k steps up at s = v t_k, for each atom v, by powers_k times
+        # the jump of log F at v (+oo from F(v-) = 0); on the piece ending at
+        # a step, log prod_k F is minus the sum of the steps still to come
+        logs = np.asarray(self.log_cdf(atoms[0]))
+        jumps = logs - np.concatenate(([-np.inf], logs[:-1]))
+        at = np.outer(atoms[0], t).ravel()
+        order = np.argsort(at, kind="stable")
+        to_come = _suffix_sums(np.outer(jumps, powers).ravel()[order])
+        edges = np.concatenate(([a], np.maximum(at[order], a)))
+        return float(np.diff(edges) @ -np.expm1(-to_come))
+
+    def _product_tail_quad(self, a: float, t, powers, abs_tol: float) -> float:
+        """The integral of _product_tail by tail_quad, for any family."""
+        t, inverse = np.unique(t, return_inverse=True)
+        powers = np.bincount(inverse.ravel(), weights=powers)
 
         def integrand(s):
             # no cancellation where every factor is near 1; s / 0 = oo gives F = 1
@@ -186,6 +207,16 @@ class Cdf:
         kind, *params = self._key()
         inner = ", ".join(repr(p) for p in params)
         return f"{type(self).__name__}({inner})"
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """sum(x[i:]) for each i, accumulated in rows of about sqrt(n) entries
+    so that rounding grows with sqrt(n) rather than n."""
+    width = max(math.isqrt(x.size), 1)
+    rows = np.concatenate([x[::-1], np.zeros(-x.size % width)]).reshape(-1, width)
+    rows = np.cumsum(rows, axis=1)
+    rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
+    return rows.ravel()[:x.size][::-1]
 
 
 #: geometric nodes of a size-biased table
@@ -331,9 +362,12 @@ class Frechet(UnitMeanCdf):
         out = _frechet_tail(self.c, self.alpha, a_arr)
         return _maybe_scalar(out, a_arr.ndim == 0)
 
-    def power_tail_integral(self, a: float, z: float) -> float:
-        # F^z is the same Frechet shape with constant z*c
-        return float(_frechet_tail(z * self.c, self.alpha, np.asarray(a, dtype=float)))
+    def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
+        # the product is F's shape with c sum_k p_k t_k^(1/alpha): logistic from 0
+        weight = np.sum(powers * t ** (1.0 / self.alpha))
+        if a == 0.0:
+            return float(weight ** self.alpha)
+        return float(_frechet_tail(weight * self.c, self.alpha, np.asarray(a, dtype=float)))
 
     def tail_index(self) -> float:
         return 1.0 / self.alpha
@@ -435,12 +469,17 @@ class TwoPoint(UnitMeanCdf):
         self.q = 1.0 / -math.expm1(-theta)
 
     def cdf(self, x, left: bool = False):
+        return self._levels(x, left, 0.0, self.p0, 1.0)
+
+    def log_cdf(self, x, left: bool = False):
+        # exact: log(exp(-theta)) would lose theta's relative precision
+        return self._levels(x, left, -np.inf, -self.theta, 0.0)
+
+    def _levels(self, x, left, below, mid, top):
+        # below 0, mid on [0, q) (on (0, q] for the left limit), top beyond
         x_arr = np.asarray(x, dtype=float)
-        if left:
-            out = np.where(x_arr > self.q, 1.0, np.where(x_arr > 0.0, self.p0, 0.0))
-        else:
-            out = np.where(x_arr >= self.q, 1.0, np.where(x_arr >= 0.0, self.p0, 0.0))
-        return _maybe_scalar(out, x_arr.ndim == 0)
+        lo, hi = (x_arr > 0.0, x_arr > self.q) if left else (x_arr >= 0.0, x_arr >= self.q)
+        return _maybe_scalar(np.where(hi, top, np.where(lo, mid, below)), x_arr.ndim == 0)
 
     def quantile(self, p):
         p_arr = np.asarray(p, dtype=float)
@@ -451,9 +490,6 @@ class TwoPoint(UnitMeanCdf):
         a_arr = np.asarray(a, dtype=float)
         out = -math.expm1(-self.theta) * np.clip(self.q - a_arr, 0.0, None)
         return _maybe_scalar(out, a_arr.ndim == 0)
-
-    def power_tail_integral(self, a: float, z: float) -> float:
-        return -math.expm1(-z * self.theta) * max(0.0, self.q - a)
 
     def support_upper(self) -> float:
         return self.q
@@ -496,7 +532,18 @@ class UnitExponential(UnitMeanCdf):
         a_arr = np.asarray(a, dtype=float)
         return _maybe_scalar(np.exp(-a_arr), a_arr.ndim == 0)
 
-    def power_tail_integral(self, a: float, z: float) -> float:
+    def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
+        if a == 0.0 and t.size <= INCLUSION_EXCLUSION_MAX_DIM and (powers == 1.0).all():
+            # inclusion-exclusion, sum_S (-1)^(|S|+1) / sum_{k in S} 1/t_k over
+            # subsets S; first, as the harmonic number gives l(1) = 1 - 1 ulp
+            sums, signs = np.zeros(1), -np.ones(1)
+            for r in 1.0 / t:
+                sums = np.concatenate([sums, sums + r])
+                signs = np.concatenate([signs, -signs])
+            return float(np.sum(signs[1:] / sums[1:]))
+        if t.size > 1:
+            return super()._product_tail(a, t, powers, abs_tol)
+        z = float(powers[0])  # and t = (1,)
         if a <= 0.0:
             # int_0^oo (1 - (1-e^-v)^z) dv == digamma(z+1) + gamma
             return _harmonic(z)
@@ -516,7 +563,7 @@ class UnitExponential(UnitMeanCdf):
                 if abs(term) < 1e-17:
                     break
             return total
-        return super().power_tail_integral(a, z)
+        return super()._product_tail(a, t, powers, abs_tol)
 
     def sample_size_biased(self, rng, size=None):
         out = rng.gamma(2.0, size=size)
@@ -595,13 +642,6 @@ class _DiscreteBase(Cdf):
         gaps = np.clip(self.values - a_arr[..., None], 0.0, None)
         return _maybe_scalar(gaps @ self.weights, a_arr.ndim == 0)
 
-    def power_tail_integral(self, a: float, z: float) -> float:
-        lo = np.concatenate([[0.0], self.values[:-1]])
-        hi = self.values
-        levels = np.concatenate([[0.0], self.cum[:-1]])
-        lengths = np.clip(hi - np.maximum(a, lo), 0.0, None)
-        return float(lengths @ (1.0 - levels**z))
-
     def support_lower(self) -> float:
         return float(self.values[0])
 
@@ -659,6 +699,10 @@ class Dirac1(Discrete):
 
     def __init__(self):
         super().__init__([(1.0, 1.0)])
+
+    def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
+        # every factor is 0 below s = t_k and 1 from there on
+        return max(0.0, float(t.max()) - a)
 
     def sample_size_biased(self, rng, size=None):
         # the atom itself, drawing no randomness
@@ -719,8 +763,10 @@ class Tilted(UnitMeanCdf):
         out = np.asarray(self.base.quantile(p_arr ** (1.0 / self.z))) / self.psi
         return _maybe_scalar(out, p_arr.ndim == 0)
 
-    def power_tail_integral(self, a: float, z: float) -> float:
-        return self.base.power_tail_integral(a * self.psi, self.z * z) / self.psi
+    def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
+        # s = u / psi turns prod_k F_z(s/t_k)^p_k into prod_k G(u/t_k)^(z p_k)
+        return self.base._product_tail(a * self.psi, t, self.z * powers,
+                                       abs_tol * self.psi) / self.psi
 
     def support_lower(self) -> float:
         return self.base.support_lower() / self.psi
@@ -772,8 +818,9 @@ class _Scaled(Cdf):
         out = np.asarray(self.base.tail_integral(a_arr * self.scale)) / self.scale
         return _maybe_scalar(out, a_arr.ndim == 0)
 
-    def power_tail_integral(self, a: float, z: float) -> float:
-        return self.base.power_tail_integral(a * self.scale, z) / self.scale
+    def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
+        return self.base._product_tail(a * self.scale, t, powers,
+                                       abs_tol * self.scale) / self.scale
 
     def support_lower(self) -> float:
         return self.base.support_lower() / self.scale

@@ -6,14 +6,14 @@ vectors, normalized to l(1,0,...) = 1 and satisfying
     max_k t_k  <=  l(t)  <=  sum_k t_k,
 
 with exp(-l(t)) the joint survival function of the associated min-stable
-exponential sequence.  Closed forms are dispatched per family; the generic
-path integrates 1 - prod_k F(s/t_k) by the vectorized Gauss-Kronrod
-quadrature of ``_quad.tail_quad``, one array of nodes per round, with the
-infinite tail mapped by the family's tail index; the family's
-``_product_tail`` sets the integral up.  It evaluates l(t) = m l(t/m) with
-m = max_k t_k to absolute tolerance 1e-9 on l(t/m) >= 1, i.e. relative
-tolerance 1e-9 on l(t) at every scale, and raises NumericError when the
-quadrature's error estimate misses that tolerance.
+exponential sequence.  l_F(t) = m l_F(t/m), with m = max_k t_k, is one call
+of the family's ``_product_tail``, which holds the family's closed form;
+families without one integrate 1 - prod_k F(s/t_k) by the vectorized
+Gauss-Kronrod quadrature of ``_quad.tail_quad``, one array of nodes per
+round, with the infinite tail mapped by the family's tail index.  The
+quadrature works to absolute tolerance 1e-9 on l(t/m) >= 1, i.e. relative
+tolerance 1e-9 on l(t) at every scale, and raises NumericError when its
+error estimate misses that tolerance.
 
 By convention s / 0 = oo and F(oo) = 1, so zero entries of t drop out, and
 the zero weight vector evaluates to 0.
@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from ._quad import tail_quad
-from .families import Cdf, Dirac1, Frechet, UnitExponential, UnitMeanCdf
+from .families import INCLUSION_EXCLUSION_MAX_DIM, UnitMeanCdf
 from .models import CanonicalModel, LevySpec
 
 __all__ = [
@@ -50,16 +50,13 @@ __all__ = [
 
 Evaluator = Callable[[Sequence[float]], float]
 
-#: subset enumeration cap for the inclusion-exclusion transform
-INCLUSION_EXCLUSION_MAX_DIM = 20
-
 _QUAD_TOL = 1e-9
 
 
 def weight_vector(t) -> np.ndarray:
     """Validate and return a weight vector as a 1-d float array."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-    if arr.size and (np.any(arr < 0.0) or not np.all(np.isfinite(arr))):
+    arr = np.asarray(t, dtype=float).ravel()
+    if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
         raise ValueError("weight vector entries must be finite and non-negative")
     return arr
 
@@ -74,9 +71,9 @@ def effective_dim(t) -> int:
 def stdf_extremal(F: UnitMeanCdf, t, method: str = "auto") -> float:
     """l_F(t) = int_0^oo (1 - prod_k F(s/t_k)) ds for a single family F.
 
-    ``method="auto"`` dispatches to a closed form where one exists
-    (Frechet -> logistic, point mass -> max, atomic families -> exact
-    piecewise-constant integration, exponential -> inclusion-exclusion);
+    ``method="auto"`` takes the family's ``_product_tail``, with its closed
+    form where it has one (Frechet -> logistic, point mass -> max, atomic
+    families -> exact sum, exponential -> inclusion-exclusion);
     ``method="quadrature"`` forces the generic integration path.
     """
     if method not in ("auto", "quadrature"):
@@ -85,55 +82,11 @@ def stdf_extremal(F: UnitMeanCdf, t, method: str = "auto") -> float:
     tt = tt[tt > 0.0]
     if tt.size == 0:
         return 0.0
-    if method == "quadrature":
-        return _stdf_quadrature(F, tt)
-    if isinstance(F, Frechet):
-        # m (sum (t_k/m)^(1/alpha))^alpha with m = max t neither under- nor
-        # overflows at extreme scales of t
-        m = float(np.max(tt))
-        return m * float(np.sum((tt / m) ** (1.0 / F.alpha)) ** F.alpha)
-    if isinstance(F, Dirac1):
-        return float(np.max(tt))
-    atoms = F.atom_values()
-    if atoms is not None:
-        return _stdf_atomic(F, tt, atoms[0])
-    if isinstance(F, UnitExponential) and tt.size <= INCLUSION_EXCLUSION_MAX_DIM:
-        return _stdf_iid_exponential(tt)
-    return _stdf_quadrature(F, tt)
-
-
-def _stdf_atomic(F: Cdf, tt: np.ndarray, values: np.ndarray) -> float:
-    # the integrand 1 - prod_k F(s/t_k) is piecewise constant between the
-    # products of atom locations and weights; sum it exactly, sampling each
-    # piece at its midpoint (endpoints are unsafe: v*t/t may round across
-    # the jump)
-    products = np.unique(np.outer(values[values > 0.0], tt).ravel())
-    knots = np.concatenate([[0.0], products])
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    grid = mids[:, None] / tt[None, :]
-    g = 1.0 - np.prod(np.asarray(F.cdf(grid)), axis=1)
-    return float(np.sum(g * np.diff(knots)))
-
-
-def _stdf_iid_exponential(tt: np.ndarray) -> float:
-    # inclusion-exclusion over non-empty subsets S: (-1)^(|S|+1) / sum_{k in S} 1/t_k
-    rates = 1.0 / tt
-    sums = np.zeros(1)
-    parity = np.zeros(1)
-    for r in rates:
-        sums = np.concatenate([sums, sums + r])
-        parity = np.concatenate([parity, parity + 1.0])
-    sums, parity = sums[1:], parity[1:]
-    return float(np.sum((-1.0) ** (parity + 1.0) / sums))
-
-
-def _stdf_quadrature(F: Cdf, tt: np.ndarray) -> float:
-    # l(t) = m l(t/m) with m = max t puts the integrand's mass on the scale
-    # the quadrature expects, and l(t/m) >= 1 makes its absolute tolerance
-    # relative on l(t) at every scale
-    m = float(np.max(tt))
-    t_unique, counts = np.unique(tt / m, return_counts=True)
-    return m * F._product_tail(0.0, t_unique, counts.astype(float), _QUAD_TOL)
+    # t/m puts the integrand's mass where the quadrature expects it and keeps
+    # closed forms finite; l(t/m) >= 1 makes the tolerance relative on l(t)
+    m = float(tt.max())
+    integral = F._product_tail_quad if method == "quadrature" else F._product_tail
+    return m * integral(0.0, tt / m, np.ones(tt.size), _QUAD_TOL)
 
 
 def stdf_canonical(model: CanonicalModel, t, method: str = "auto") -> float:

@@ -63,6 +63,33 @@ def all_families():
     ]
 
 
+def product_tail_families():
+    # plus the generic wrappers over atomic and exponential bases
+    return all_families() + [
+        Tilted(Discrete([(0.5, 0.5), (1.5, 0.5)]), 2.0),
+        Rescaled(Exponential(2.0)),
+        Rescaled(DiscreteCdf([(0.0, 0.3), (1.0, 0.4), (3.0, 0.3)])),
+    ]
+
+
+@pytest.mark.parametrize("F", product_tail_families(), ids=repr)
+def test_product_tail_matches_quadrature(F):
+    # each family's closed form or exact atomic sum against the generic
+    # quadrature, with repeated weights and unit and non-unit powers
+    cases = [(np.array([1.0, 0.4, 0.75, 0.4, 1.0]), np.ones(5)),
+             (np.array([1.0, 0.4, 0.75, 0.4, 1.0]), np.array([0.5, 2.0, 1.0, 3.0, 0.7])),
+             (np.ones(1), np.array([0.5])),
+             (np.ones(1), np.array([3.0]))]
+    for a in (0.0, 0.3, 2.0):
+        for t, powers in cases:
+            value = F._product_tail(a, t, powers, 1e-12)
+            assert value == pytest.approx(F._product_tail_quad(a, t, powers, 1e-12),
+                                          rel=0.0, abs=1e-12)
+        for z in (0.5, 1.0, 3.0):
+            assert F.power_tail_integral(a, z) == F._product_tail(
+                a, np.ones(1), np.array([z]), 1e-10)
+
+
 @pytest.mark.parametrize("F", all_families(), ids=repr)
 def test_unit_mean(F):
     assert abs(float(F.tail_integral(0.0)) - 1.0) <= 1e-8

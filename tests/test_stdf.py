@@ -391,3 +391,32 @@ def test_quadrature_heavy_frechet_is_right_or_raises(alpha):
               [1e6, 2e6, 5e5]):
         value = stdf_extremal(F, t, method="quadrature")
         assert value == pytest.approx(stdf_extremal(F, t), rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+@pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-8, 1e-10])
+def test_two_point_small_theta(theta, method):
+    # 1 - prod_k F(s/t_k) is 1 - e^(-j theta) while j factors are still at
+    # F(0) = e^(-theta): the exact log F keeps theta's relative precision
+    import mpmath
+
+    t = (1.0, 2.0, 0.5)
+    with mpmath.workdps(50):
+        th = mpmath.mpf(theta)
+        knots = [mpmath.mpf(0)] + [mpmath.mpf(v) for v in sorted(t)]
+        exact = sum(-mpmath.expm1(-th * (len(t) - j)) * (knots[j + 1] - knots[j])
+                    for j in range(len(t))) / -mpmath.expm1(-th)
+    value = stdf_extremal(TwoPoint(theta), t, method=method)
+    assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [3_000, 100_000])
+def test_two_point_high_dimension(d):
+    # the atomic sum walks the d product steps in order, in memory linear
+    # in d; l(t) = q sum_j (1 - e^(-theta (d - j + 1))) (t_(j) - t_(j-1))
+    theta = 1e-6
+    t = np.random.default_rng(83).uniform(0.1, 3.0, d)
+    F = TwoPoint(theta)
+    gaps = np.diff(np.concatenate([[0.0], np.sort(t)]))
+    exact = F.q * float(np.sum(-np.expm1(-theta * np.arange(d, 0, -1)) * gaps))
+    assert stdf_extremal(F, t) == pytest.approx(exact, rel=1e-12, abs=0.0)
