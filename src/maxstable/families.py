@@ -29,6 +29,7 @@ UnitExponential base is digamma(z+1) + gamma from _harmonic.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -99,19 +100,19 @@ class Cdf:
         """int_a^oo (1 - prod_k F(s / t_k)^powers_k) ds for a >= 0, powers > 0
         and max t = 1 (l_F(t) at a = 0 and unit powers): exact for atomic laws,
         else to absolute tolerance ``abs_tol``.  Closed forms override it."""
-        atoms = self.atom_values()
-        if atoms is None:
+        steps = self._atom_steps()
+        if steps is None:
             return self._product_tail_quad(a, t, powers, abs_tol)
         # factor k steps up at s = v t_k, for each atom v, by powers_k times
-        # the jump of log F at v (+oo from F(v-) = 0); on the piece ending at
-        # a step, log prod_k F is minus the sum of the steps still to come
-        logs = np.asarray(self.log_cdf(atoms[0]))
-        jumps = logs - np.concatenate(([-np.inf], logs[:-1]))
-        at = np.outer(atoms[0], t).ravel()
-        order = np.argsort(at, kind="stable")
-        to_come = _suffix_sums(np.outer(jumps, powers).ravel()[order])
+        # the jump of log F at v; on the piece ending at a step, log prod_k F
+        # is minus the sum of the steps still to come
+        values, jumps = steps
+        at = (values[:, None] * t).ravel()
+        order = at.argsort(kind="stable")
+        to_come = _suffix_sums((jumps[:, None] * powers).ravel()[order])
         edges = np.concatenate(([a], np.maximum(at[order], a)))
-        return float(np.diff(edges) @ -np.expm1(-to_come))
+        # minus the widths times e^-to_come - 1: the same products, signs moved
+        return float((edges[:-1] - edges[1:]) @ np.expm1(-to_come))
 
     def _product_tail_quad(self, a: float, t, powers, abs_tol: float) -> float:
         """The integral of _product_tail by tail_quad, for any family."""
@@ -150,6 +151,15 @@ class Cdf:
     def atom_values(self):
         """(values, weights) for purely atomic families, else None."""
         return None
+
+    def _atom_steps(self):
+        """(values, jumps) for purely atomic families, else None: the atoms
+        and the jumps of log F at them (+oo at the first, from F(v-) = 0).
+        Families that know their atoms keep these from construction."""
+        atoms = self.atom_values()
+        if atoms is None:
+            return None
+        return atoms[0], _log_jumps(np.asarray(self.log_cdf(atoms[0])))
 
     def sample(self, rng, size=None):
         """Inverse-transform sample(s) from F."""
@@ -209,14 +219,22 @@ class Cdf:
         return f"{type(self).__name__}({inner})"
 
 
+def _log_jumps(logs: np.ndarray) -> np.ndarray:
+    """Jumps of log F at the atoms, given log F there; +oo at the first."""
+    return logs - np.concatenate(([-np.inf], logs[:-1]))
+
+
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
     """sum(x[i:]) for each i, accumulated in rows of about sqrt(n) entries
     so that rounding grows with sqrt(n) rather than n."""
-    width = max(math.isqrt(x.size), 1)
-    rows = np.concatenate([x[::-1], np.zeros(-x.size % width)]).reshape(-1, width)
-    rows = np.cumsum(rows, axis=1)
-    rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
-    return rows.ravel()[:x.size][::-1]
+    n = x.size
+    width = max(math.isqrt(n), 1)
+    rows = np.zeros(n + -n % width)
+    rows[:n] = x[::-1]
+    rows = rows.reshape(-1, width)
+    rows.cumsum(axis=1, out=rows)
+    rows[1:] += rows[:-1, -1].cumsum()[:, None]
+    return rows.ravel()[n - 1::-1]
 
 
 #: geometric nodes of a size-biased table
@@ -364,7 +382,7 @@ class Frechet(UnitMeanCdf):
 
     def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
         # the product is F's shape with c sum_k p_k t_k^(1/alpha): logistic from 0
-        weight = np.sum(powers * t ** (1.0 / self.alpha))
+        weight = (powers * t ** (1.0 / self.alpha)).sum()
         if a == 0.0:
             return float(weight ** self.alpha)
         return float(_frechet_tail(weight * self.c, self.alpha, np.asarray(a, dtype=float)))
@@ -467,6 +485,7 @@ class TwoPoint(UnitMeanCdf):
         self.theta = theta
         self.p0 = math.exp(-theta)
         self.q = 1.0 / -math.expm1(-theta)
+        self._steps = (np.array([0.0, self.q]), _log_jumps(np.array([-theta, 0.0])))
 
     def cdf(self, x, left: bool = False):
         return self._levels(x, left, 0.0, self.p0, 1.0)
@@ -496,6 +515,9 @@ class TwoPoint(UnitMeanCdf):
 
     def atom_values(self):
         return np.array([0.0, self.q]), np.array([self.p0, -math.expm1(-self.theta)])
+
+    def _atom_steps(self):
+        return self._steps
 
     def sample_size_biased(self, rng, size=None):
         # value-weighted masses kill the atom at zero: q * (1 - p0) == 1
@@ -535,12 +557,16 @@ class UnitExponential(UnitMeanCdf):
     def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
         if a == 0.0 and t.size <= INCLUSION_EXCLUSION_MAX_DIM and (powers == 1.0).all():
             # inclusion-exclusion, sum_S (-1)^(|S|+1) / sum_{k in S} 1/t_k over
-            # subsets S; first, as the harmonic number gives l(1) = 1 - 1 ulp
-            sums, signs = np.zeros(1), -np.ones(1)
+            # subsets S; first, as the harmonic number gives l(1) = 1 - 1 ulp.
+            # Subset i (bit k for t_k) has its sum at sums[i], the sums of
+            # the subsets with top bit k filled from those without it
+            sums = np.empty(1 << t.size)
+            sums[0] = 0.0
+            k = 1
             for r in 1.0 / t:
-                sums = np.concatenate([sums, sums + r])
-                signs = np.concatenate([signs, -signs])
-            return float(np.sum(signs[1:] / sums[1:]))
+                np.add(sums[:k], r, out=sums[k:2 * k])
+                k *= 2
+            return float(np.sum(_subset_signs(t.size) / sums[1:]))
         if t.size > 1:
             return super()._product_tail(a, t, powers, abs_tol)
         z = float(powers[0])  # and t = (1,)
@@ -571,6 +597,22 @@ class UnitExponential(UnitMeanCdf):
 
     def _key(self):
         return ("unit_exponential",)
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_signs(d: int) -> np.ndarray:
+    """(-1)^(|S|+1) for the non-empty subsets S of d elements, in the order
+    of UnitExponential's inclusion-exclusion sums (subset i has bit k for
+    element k); read-only, as it is shared."""
+    signs = np.empty(1 << d)
+    signs[0] = -1.0
+    k = 1
+    for _ in range(d):
+        np.negative(signs[:k], out=signs[k:2 * k])
+        k *= 2
+    signs = signs[1:]
+    signs.flags.writeable = False
+    return signs
 
 
 #: Bernoulli terms B_2k / 2k of the asymptotic series of digamma, k = 1..6
@@ -623,12 +665,27 @@ class _DiscreteBase(Cdf):
         self.weights = merged / merged.sum()
         self.cum = np.cumsum(self.weights)
         self.cum[-1] = 1.0
+        # log F at the atoms: log1p of minus the weight above where F > 1/2,
+        # so that a tiny top weight keeps its relative precision, and log(cum)
+        # below, where log1p(-above) would lose that of a tiny bottom weight
+        above = np.concatenate([np.cumsum(self.weights[:0:-1])[::-1], [0.0]])
+        with np.errstate(divide="ignore"):
+            self._log_cum = np.where(self.cum > 0.5, np.log1p(-above), np.log(self.cum))
+        self._log_cum[-1] = 0.0
+        self._steps = (self.values, _log_jumps(self._log_cum))
 
     def cdf(self, x, left: bool = False):
+        return self._levels(x, left, 0.0, self.cum)
+
+    def log_cdf(self, x, left: bool = False):
+        return self._levels(x, left, -np.inf, self._log_cum)
+
+    def _levels(self, x, left, below, table):
+        # table[j] on [values[j], values[j + 1]), shifted to the right end
+        # for the left limit; below under the first atom
         x_arr = np.asarray(x, dtype=float)
-        side = "left" if left else "right"
-        idx = np.searchsorted(self.values, x_arr, side=side)
-        padded = np.concatenate([[0.0], self.cum])
+        idx = np.searchsorted(self.values, x_arr, side="left" if left else "right")
+        padded = np.concatenate([[below], table])
         return _maybe_scalar(padded[idx], x_arr.ndim == 0)
 
     def quantile(self, p):
@@ -650,6 +707,9 @@ class _DiscreteBase(Cdf):
 
     def atom_values(self):
         return self.values, self.weights
+
+    def _atom_steps(self):
+        return self._steps
 
     def sample_size_biased(self, rng, size=None):
         probs = self.values * self.weights

@@ -17,6 +17,12 @@ error estimate misses that tolerance.
 
 By convention s / 0 = oo and F(oo) = 1, so zero entries of t drop out, and
 the zero weight vector evaluates to 0.
+
+Validation: every public function validates its arguments (weight vectors
+through :func:`weight_vector`) and raises ValueError on bad input.  The
+private helpers take t already validated: ``_canonical`` a validated weight
+vector, ``_extremal`` the ``(m, t/m, ones)`` of ``_scaled``.  So one public
+call checks t once, however many families its model mixes.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ _QUAD_TOL = 1e-9
 def weight_vector(t) -> np.ndarray:
     """Validate and return a weight vector as a 1-d float array."""
     arr = np.asarray(t, dtype=float).ravel()
-    if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
+    # both comparisons are False for NaN
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise ValueError("weight vector entries must be finite and non-negative")
     return arr
 
@@ -68,6 +75,42 @@ def effective_dim(t) -> int:
     return int(nz[-1]) + 1 if nz.size else 0
 
 
+def _check_method(method: str) -> None:
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _scaled(tt: np.ndarray):
+    """(m, u, ones) for a validated t: m = max t, u the positive entries of
+    t over m and ones the unit powers; m = 0 for the zero vector."""
+    pos = tt[tt > 0.0]
+    if pos.size == 0:
+        return 0.0, pos, pos
+    m = float(pos.max())
+    return m, pos / m, np.ones(pos.size)
+
+
+def _extremal(F: UnitMeanCdf, scaled, method: str) -> float:
+    """l_F(t) = m l_F(t/m) from scaled = _scaled(t)."""
+    m, u, ones = scaled
+    if m == 0.0:
+        return 0.0
+    # t/m puts the integrand's mass where the quadrature expects it and keeps
+    # closed forms finite; l(t/m) >= 1 makes the tolerance relative on l(t)
+    integral = F._product_tail_quad if method == "quadrature" else F._product_tail
+    return m * integral(0.0, u, ones, _QUAD_TOL)
+
+
+def _canonical(model: CanonicalModel, tt: np.ndarray, method: str) -> float:
+    """stdf_canonical for a validated t and method."""
+    total = float(tt.sum())
+    if model.b == 1.0 or model.mu is None:
+        return model.b * total
+    scaled = _scaled(tt)
+    mix = math.fsum(w * _extremal(F, scaled, method) for w, F in model.mu)
+    return model.b * total + (1.0 - model.b) * mix
+
+
 def stdf_extremal(F: UnitMeanCdf, t, method: str = "auto") -> float:
     """l_F(t) = int_0^oo (1 - prod_k F(s/t_k)) ds for a single family F.
 
@@ -76,29 +119,14 @@ def stdf_extremal(F: UnitMeanCdf, t, method: str = "auto") -> float:
     families -> exact sum, exponential -> inclusion-exclusion);
     ``method="quadrature"`` forces the generic integration path.
     """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    tt = weight_vector(t)
-    tt = tt[tt > 0.0]
-    if tt.size == 0:
-        return 0.0
-    # t/m puts the integrand's mass where the quadrature expects it and keeps
-    # closed forms finite; l(t/m) >= 1 makes the tolerance relative on l(t)
-    m = float(tt.max())
-    integral = F._product_tail_quad if method == "quadrature" else F._product_tail
-    return m * integral(0.0, tt / m, np.ones(tt.size), _QUAD_TOL)
+    _check_method(method)
+    return _extremal(F, _scaled(weight_vector(t)), method)
 
 
 def stdf_canonical(model: CanonicalModel, t, method: str = "auto") -> float:
     """l(t) = b sum_k t_k + (1 - b) sum_i w_i l_{F_i}(t) for a canonical pair."""
-    tt = weight_vector(t)
-    total = float(np.sum(tt))
-    if model.b == 1.0 or model.mu is None:
-        return model.b * total
-    mix = math.fsum(
-        w * stdf_extremal(F, tt, method=method) for w, F in model.mu
-    )
-    return model.b * total + (1.0 - model.b) * mix
+    _check_method(method)
+    return _canonical(model, weight_vector(t), method)
 
 
 def bernstein_psi(spec: LevySpec, x) -> Union[float, np.ndarray]:
@@ -138,10 +166,11 @@ def stdf_levy(spec: LevySpec, t) -> float:
 
 def copula(model: CanonicalModel, u) -> float:
     """Extreme-value copula C(u) = exp(-l(-log u_1, ..., -log u_d))."""
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr <= 0.0) or np.any(u_arr > 1.0):
-        raise ValueError("copula arguments must lie in (0, 1]")
-    return math.exp(-stdf_canonical(model, -np.log(u_arr)))
+    u_arr = np.asarray(u, dtype=float).ravel()
+    # both comparisons are False for NaN; -log u is then finite and >= 0
+    if u_arr.size and not (u_arr.min() > 0.0 and u_arr.max() <= 1.0):
+        raise ValueError("copula arguments must lie in (0, 1] and not be NaN")
+    return math.exp(-_canonical(model, -np.log(u_arr), "auto"))
 
 
 def _as_evaluator(base) -> Evaluator:

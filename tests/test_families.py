@@ -22,7 +22,7 @@ from maxstable import (
     rescale_to_unit_mean,
     tilt,
 )
-from maxstable.families import _SizeBiasedTable, _gammainc, _harmonic
+from maxstable.families import _SizeBiasedTable, _gammainc, _harmonic, _suffix_sums
 
 LN2 = math.log(2.0)
 
@@ -117,6 +117,76 @@ def test_log_cdf_consistent(F):
     with np.errstate(divide="ignore"):
         assert_allclose(logs[ok], np.log(vals[ok]), rtol=1e-9, atol=1e-12)
     assert np.all(logs[~ok] < -600.0)
+
+
+ATOMIC = [Dirac1(), TwoPoint(0.3), TwoPoint(LN2), PointMass(2.0),
+          Discrete([(0.5, 0.5), (1.5, 0.5)]),
+          Discrete([(0.0, 0.25), (0.8, 0.25), (1.6, 0.5)]),
+          Discrete([(0.5 / (1.0 - 1e-12), 1.0 - 1e-12), (0.5e12, 1e-12)]),
+          DiscreteCdf([(0.0, 0.3), (1.0, 0.4), (3.0, 0.3)])]
+
+
+@pytest.mark.parametrize("F", ATOMIC, ids=repr)
+def test_atom_steps_kept_from_construction_are_log_cdf_jumps(F):
+    # the atomic l(t) route reads the same table of log F as log_cdf
+    values, jumps = F._atom_steps()
+    generic_values, generic_jumps = Cdf._atom_steps(F)
+    assert np.array_equal(values, F.atom_values()[0])
+    assert np.array_equal(values, generic_values)
+    assert np.array_equal(jumps, generic_jumps)
+    assert jumps[0] == np.inf and np.all(jumps[1:] > 0.0)
+
+
+def test_discrete_log_cdf_keeps_a_tiny_top_weight():
+    w = 1e-12
+    F = Discrete([(0.5 / (1.0 - w), 1.0 - w), (0.5 / w, w)])
+    low, top = F.values
+    top_weight = F.weights[1]
+    assert float(F.log_cdf(low)) == math.log1p(-top_weight)
+    assert float(F.log_cdf(top, left=True)) == math.log1p(-top_weight)
+    assert float(F.log_cdf(0.5 * (low + top))) == math.log1p(-top_weight)
+    assert float(F.log_cdf(low, left=True)) == -math.inf
+    assert float(F.log_cdf(top)) == 0.0
+    assert math.copysign(1.0, float(F.log_cdf(top))) == 1.0
+    # log of the cdf loses the weight's relative precision
+    assert abs(math.log(float(F.cdf(low))) / math.log1p(-top_weight) - 1.0) > 1e-6
+
+
+class _TwoAtoms(Cdf):
+    """Atoms 0.5 and 1.5 with weight 1/2 each, declared through cdf and
+    atom_values only: the atomic route takes its jumps from log_cdf."""
+
+    def cdf(self, x, left=False):
+        side = "left" if left else "right"
+        idx = np.searchsorted([0.5, 1.5], np.asarray(x, dtype=float), side=side)
+        return np.array([0.0, 0.5, 1.0])[idx]
+
+    def atom_values(self):
+        return np.array([0.5, 1.5]), np.array([0.5, 0.5])
+
+
+def test_atomic_route_of_a_family_without_kept_steps():
+    t = np.array([1.0, 0.4, 0.7])
+    disc = Discrete([(0.5, 0.5), (1.5, 0.5)])
+    assert _TwoAtoms()._product_tail(0.0, t, np.ones(3), 1e-9) == \
+        disc._product_tail(0.0, t, np.ones(3), 1e-9)
+
+
+def _suffix_sums_by_concatenation(x):
+    # the rows as built before they were filled in place
+    width = max(math.isqrt(x.size), 1)
+    rows = np.concatenate([x[::-1], np.zeros(-x.size % width)]).reshape(-1, width)
+    rows = np.cumsum(rows, axis=1)
+    rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
+    return rows.ravel()[:x.size][::-1]
+
+
+def test_suffix_sums_bitwise_the_concatenated_rows():
+    rng = np.random.default_rng(41)
+    for n in list(range(1, 130)) + [1000, 4097]:
+        x = rng.exponential(size=n) * rng.choice([1.0, 1e-10, 1e10], size=n)
+        x[rng.random(n) < 0.1] = np.inf
+        assert _suffix_sums(x).tobytes() == _suffix_sums_by_concatenation(x).tobytes()
 
 
 def test_cdf_point_examples():

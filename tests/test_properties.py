@@ -14,18 +14,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from maxstable import (
+    CanonicalModel,
     Discrete,
     DiscreteCdf,
     Exponential,
     Frechet,
+    MixingMeasure,
     NumericError,
     PointMass,
     Rescaled,
     Tilted,
     TwoPoint,
     UnitExponential,
+    copula,
     pairwise_l2_identity,
     rescale_to_unit_mean,
+    stdf_canonical,
     stdf_extremal,
     tilt,
 )
@@ -145,3 +149,44 @@ def test_tilted_exponential_matches_scipy(z, t):
     oracle = math.fsum(quad(g, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
                        for lo, hi in zip(edges[:-1], edges[1:]))
     assert stdf_extremal(F, t) == pytest.approx(oracle, rel=1e-9)
+
+
+@st.composite
+def models(draw):
+    b = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    if b == 1.0 and draw(st.booleans()):
+        return CanonicalModel(1.0)
+    shares = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+    total = math.fsum(shares)
+    return CanonicalModel(b, MixingMeasure(
+        [(share / total, draw(families())) for share in shares]))
+
+
+def bits(call, *args, **kwargs):
+    """The result's bits, or the error type it raised."""
+    try:
+        return float(call(*args, **kwargs)).hex()
+    except NumericError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), WEIGHTS, METHOD)
+def test_canonical_is_the_mixture_of_extremal_calls(model, t, method):
+    # one validation per call, then the same family calls, bit for bit
+    def mixture():
+        total = float(np.sum(np.asarray(t, dtype=float)))
+        if model.mu is None or model.b == 1.0:
+            return model.b * total
+        mix = math.fsum(w * stdf_extremal(F, t, method=method) for w, F in model.mu)
+        return model.b * total + (1.0 - model.b) * mix
+
+    assert bits(stdf_canonical, model, t, method=method) == bits(mixture)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=6))
+def test_copula_is_exp_of_minus_canonical(model, u):
+    u = np.asarray(u)
+    assert bits(copula, model, u) == bits(
+        lambda: math.exp(-stdf_canonical(model, -np.log(u))))

@@ -57,8 +57,18 @@ def test_weight_vector_validation():
     assert effective_dim([]) == 0
     with pytest.raises(ValueError):
         weight_vector([1.0, -0.5])
-    with pytest.raises(ValueError):
-        weight_vector([np.inf])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            weight_vector([1.0, bad])
+        with pytest.raises(ValueError):
+            stdf_canonical(point_model(TwoPoint(LN2)), [bad, 1.0])
+    # -0.0 is a zero entry; a 2-d array is raveled; the empty vector is valid
+    signed = weight_vector([-0.0, 2.0])
+    assert signed[0] == 0.0 and math.copysign(1.0, signed[0]) == -1.0
+    assert stdf_extremal(Frechet(0.5), [-0.0, 2.0]) == 2.0
+    assert_allclose(weight_vector([[1.0, 2.0], [0.0, 3.0]]), [1.0, 2.0, 0.0, 3.0])
+    assert weight_vector([]).shape == (0,)
+    assert stdf_canonical(point_model(Frechet(0.5), b=0.3), []) == 0.0
 
 
 def test_extremal_margin_and_zero():
@@ -83,6 +93,16 @@ def test_canonical_examples():
     assert stdf_canonical(point_model(Frechet(0.5)), [1, 1, 1, 1]) == pytest.approx(
         2.0, abs=1e-12
     )
+
+
+def test_canonical_validates_method_first():
+    # the independence model returns b sum t without a family to evaluate,
+    # but an unknown method is still an error
+    for model in (CanonicalModel(1.0), point_model(Dirac1(), b=1.0),
+                  point_model(Frechet(0.5), b=0.4)):
+        with pytest.raises(ValueError, match="unknown method"):
+            stdf_canonical(model, [1.0, 2.0], method="bogus")
+    assert stdf_canonical(CanonicalModel(1.0), [1.0, 2.0], method="quadrature") == 3.0
 
 
 @pytest.mark.parametrize("F", EVAL_FAMILIES, ids=repr)
@@ -190,6 +210,11 @@ def test_copula_examples_and_margins():
         copula(indep, [0.0, 0.5])
     with pytest.raises(ValueError):
         copula(indep, [0.5, 1.2])
+    # NaN is rejected by copula's own check, not later as a bad weight vector
+    for model in (indep, logistic):
+        with pytest.raises(ValueError, match="copula arguments"):
+            copula(model, [0.5, math.nan])
+    assert copula(logistic, []) == 1.0
 
 
 @pytest.mark.parametrize("s", [2.0, 5.0])
@@ -329,6 +354,75 @@ def test_unit_exponential_inclusion_exclusion_closed_form():
             for idx in combinations(range(t.size), k):
                 oracle += (-1.0) ** (k + 1) / np.sum(1.0 / t[list(idx)])
         assert stdf_extremal(ue, t) == pytest.approx(oracle, abs=1e-10)
+
+
+def _inclusion_exclusion_by_concatenation(t):
+    # the subset sums as built before they were filled in place
+    sums, signs = np.zeros(1), -np.ones(1)
+    for r in 1.0 / t:
+        sums = np.concatenate([sums, sums + r])
+        signs = np.concatenate([signs, -signs])
+    return float(np.sum(signs[1:] / sums[1:]))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_inclusion_exclusion_in_place_is_bitwise_the_concatenation(d):
+    rng = np.random.default_rng(1000 + d)
+    ue = UnitExponential()
+    for _ in range(5):
+        t = rng.uniform(0.01, 3.0, d)
+        t /= t.max()
+        value = ue._product_tail(0.0, t, np.ones(d), 1e-9)
+        assert value.hex() == _inclusion_exclusion_by_concatenation(t).hex()
+
+
+def _step_integral(F, t, z=1.0, dps=50):
+    """int_0^oo (1 - prod_k F(s/t_k)^z) ds for an atomic F in mpmath, with
+    F's weights normalized exactly."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        values = [mpmath.mpf(float(v)) for v in F.values]
+        weights = [mpmath.mpf(float(w)) for w in F.weights]
+        levels = [mpmath.fsum(weights[:j + 1]) / mpmath.fsum(weights)
+                  for j in range(len(values))]
+
+        def cdf(x):
+            below = [lv for v, lv in zip(values, levels) if v <= x]
+            return below[-1] if below else mpmath.mpf(0)
+
+        knots = sorted({v * mpmath.mpf(float(tk)) for v in values for tk in t} | {0})
+        total = mpmath.mpf(0)
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            mid = (lo + hi) / 2
+            prod = mpmath.fprod(cdf(mid / mpmath.mpf(float(tk))) for tk in t)
+            total += (hi - lo) * (1 - prod ** z)
+        return float(total)
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+@pytest.mark.parametrize("w", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_discrete_tiny_top_weight(w, method):
+    # log F below the top atom is log1p(-w): log(1 - w) lost w's relative
+    # precision, and l(t) was off by 1.4e-5 relative at w = 1e-12
+    F = Discrete([(0.5 / (1.0 - w), 1.0 - w), (0.5 / w, w)])
+    t = (1.0, 2.0, 0.5)
+    exact = _step_integral(F, t)
+    value = stdf_extremal(F, t, method=method)
+    assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+    if w == 1e-12:
+        assert f"{value:.12g}" == "2.75"
+
+
+def test_discrete_tiny_bottom_weight_power_tail():
+    # below F = 1/2, log F is log(cum): log1p(-(1 - w)) would lose the
+    # relative precision of a tiny bottom weight w, which the power z < 1
+    # then magnifies
+    w = 1e-12
+    F = Discrete([(0.5, w), ((1.0 - 0.5 * w) / (1.0 - w), 1.0 - w)])
+    for z in (0.3, 0.5, 2.0):
+        exact = _step_integral(F, (1.0,), z)
+        assert F.power_tail_integral(0.0, z) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_numeric_error_carries_achieved_tolerance():
