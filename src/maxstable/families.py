@@ -2,9 +2,12 @@
 
 These families are the extremal building blocks of the library: every model
 mixes them, every evaluator integrates against them and every sampler draws
-from them.  Each family exposes the same surface:
+from them.  A family states F once, by ``log_cdf``; ``Cdf`` derives the rest
+of the surface each family exposes:
 
-* ``cdf(x, left=...)``  -- F(x), or the left limit F(x-) for atomic families,
+* ``log_cdf(x, left=...)`` -- log F(x), or of the left limit F(x-) for atomic
+  families; -oo below 0,
+* ``cdf(x, left=...)``  -- F(x) = exp(log F(x)),
 * ``tail_integral(a)``  -- int_a^oo (1 - F(u)) du  (equals 1 at a = 0),
 * ``power_tail_integral(a, z)`` -- int_a^oo (1 - F(u)^z) du,
 * ``quantile(p)``       -- generalized inverse inf{x : F(x) >= p},
@@ -72,11 +75,16 @@ class Cdf:
     """Distribution function of a non-negative random variable with finite positive mean."""
 
     def cdf(self, x, left: bool = False):
-        """Evaluate F(x); with ``left=True`` the left limit F(x-) instead."""
-        raise NotImplementedError
+        """Evaluate F(x) = exp(log F(x)); with ``left=True`` the left limit
+        F(x-) instead."""
+        if type(self).log_cdf is Cdf.log_cdf:
+            raise NotImplementedError(f"{type(self).__name__} defines no cdf or log_cdf")
+        return _maybe_scalar(np.exp(self.log_cdf(x, left=left)), np.ndim(x) == 0)
 
     def log_cdf(self, x, left: bool = False):
-        """log F(x) for x >= 0, full relative precision where F is close to one."""
+        """log F(x), -oo below 0, with full relative precision where F is close
+        to one.  Families define this; a subclass that defines cdf instead
+        gets log(cdf)."""
         with np.errstate(divide="ignore"):
             return np.log(self.cdf(x, left=left))
 
@@ -184,8 +192,8 @@ class Cdf:
 
     def _size_biased_cdf(self, t: float) -> float:
         # int_0^t s dF(s) / mean == (mean - tail(t) - t (1 - F(t))) / mean
-        m = self.mean()
-        return (m - float(self.tail_integral(t)) - t * (1.0 - float(self.cdf(t)))) / m
+        m, log_f = self.mean(), float(self.log_cdf(t))
+        return (m - float(self.tail_integral(t)) + t * math.expm1(log_f)) / m
 
     def _size_biased_inverse(self, u: float) -> float:
         hi = max(float(self.quantile(0.9)), 1.0)
@@ -354,16 +362,11 @@ class Frechet(UnitMeanCdf):
         self.alpha = alpha
         self.c = math.gamma(1.0 - alpha) ** (-1.0 / alpha)
 
-    def cdf(self, x, left: bool = False):
-        x_arr = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.exp(-self.c * np.maximum(x_arr, 0.0) ** (-1.0 / self.alpha))
-        return _maybe_scalar(out, x_arr.ndim == 0)
-
     def log_cdf(self, x, left: bool = False):
         x_arr = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            out = -self.c * x_arr ** (-1.0 / self.alpha)
+            out = -self.c * np.maximum(x_arr, 0.0) ** (-1.0 / self.alpha)
+        out = np.where(x_arr <= 0.0, -np.inf, out)  # -0 can come out as +oo
         return _maybe_scalar(out, x_arr.ndim == 0)
 
     def quantile(self, p):
@@ -487,18 +490,13 @@ class TwoPoint(UnitMeanCdf):
         self.q = 1.0 / -math.expm1(-theta)
         self._steps = (np.array([0.0, self.q]), _log_jumps(np.array([-theta, 0.0])))
 
-    def cdf(self, x, left: bool = False):
-        return self._levels(x, left, 0.0, self.p0, 1.0)
-
     def log_cdf(self, x, left: bool = False):
-        # exact: log(exp(-theta)) would lose theta's relative precision
-        return self._levels(x, left, -np.inf, -self.theta, 0.0)
-
-    def _levels(self, x, left, below, mid, top):
-        # below 0, mid on [0, q) (on (0, q] for the left limit), top beyond
+        # -oo below 0, exactly -theta on [0, q) (on (0, q] for the left
+        # limit), 0 beyond: log(exp(-theta)) would lose theta's precision
         x_arr = np.asarray(x, dtype=float)
         lo, hi = (x_arr > 0.0, x_arr > self.q) if left else (x_arr >= 0.0, x_arr >= self.q)
-        return _maybe_scalar(np.where(hi, top, np.where(lo, mid, below)), x_arr.ndim == 0)
+        out = np.where(hi, 0.0, np.where(lo, -self.theta, -np.inf))
+        return _maybe_scalar(out, x_arr.ndim == 0)
 
     def quantile(self, p):
         p_arr = np.asarray(p, dtype=float)
@@ -530,18 +528,11 @@ class TwoPoint(UnitMeanCdf):
 class UnitExponential(UnitMeanCdf):
     """F(x) = 1 - e^(-x)."""
 
-    def cdf(self, x, left: bool = False):
-        x_arr = np.asarray(x, dtype=float)
-        return _maybe_scalar(-np.expm1(-np.maximum(x_arr, 0.0)), x_arr.ndim == 0)
-
     def log_cdf(self, x, left: bool = False):
         x_arr = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                x_arr > 0.5,
-                np.log1p(-np.exp(-x_arr)),
-                np.log(-np.expm1(-x_arr)),
-            )
+        v = np.maximum(x_arr, 0.0)  # F = 0 below 0: log(-expm1(-0)) = -oo
+        with np.errstate(divide="ignore"):
+            out = np.where(v > 0.5, np.log1p(-np.exp(-v)), np.log(-np.expm1(-v)))
         return _maybe_scalar(out, x_arr.ndim == 0)
 
     def quantile(self, p):
@@ -670,23 +661,20 @@ class _DiscreteBase(Cdf):
         # below, where log1p(-above) would lose that of a tiny bottom weight
         above = np.concatenate([np.cumsum(self.weights[:0:-1])[::-1], [0.0]])
         with np.errstate(divide="ignore"):
-            self._log_cum = np.where(self.cum > 0.5, np.log1p(-above), np.log(self.cum))
-        self._log_cum[-1] = 0.0
-        self._steps = (self.values, _log_jumps(self._log_cum))
-
-    def cdf(self, x, left: bool = False):
-        return self._levels(x, left, 0.0, self.cum)
+            log_cum = np.log(self.cum)
+        # log1p only where F > 1/2: above a light bottom atom the sum can round past 1
+        upper = self.cum > 0.5
+        log_cum[upper] = np.log1p(-above[upper])
+        log_cum[-1] = 0.0
+        self._log_levels = np.concatenate([[-np.inf], log_cum])
+        self._steps = (self.values, _log_jumps(log_cum))
 
     def log_cdf(self, x, left: bool = False):
-        return self._levels(x, left, -np.inf, self._log_cum)
-
-    def _levels(self, x, left, below, table):
-        # table[j] on [values[j], values[j + 1]), shifted to the right end
-        # for the left limit; below under the first atom
+        # log F at atom j on [values[j], values[j + 1]), shifted to the right
+        # end for the left limit; -oo under the first atom
         x_arr = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.values, x_arr, side="left" if left else "right")
-        padded = np.concatenate([[below], table])
-        return _maybe_scalar(padded[idx], x_arr.ndim == 0)
+        return _maybe_scalar(self._log_levels[idx], x_arr.ndim == 0)
 
     def quantile(self, p):
         p_arr = np.asarray(p, dtype=float)
@@ -808,11 +796,6 @@ class Tilted(UnitMeanCdf):
         self.z = z
         self.psi = float(base.power_tail_integral(0.0, z))
 
-    def cdf(self, x, left: bool = False):
-        x_arr = np.asarray(x, dtype=float)
-        out = np.asarray(self.base.cdf(x_arr * self.psi, left=left)) ** self.z
-        return _maybe_scalar(out, x_arr.ndim == 0)
-
     def log_cdf(self, x, left: bool = False):
         x_arr = np.asarray(x, dtype=float)
         out = self.z * np.asarray(self.base.log_cdf(x_arr * self.psi, left=left))
@@ -839,13 +822,16 @@ class Tilted(UnitMeanCdf):
         return self.base.tail_index()
 
     def atom_values(self):
-        base_atoms = self.base.atom_values()
-        if base_atoms is None:
+        atoms = self.base.atom_values()
+        if atoms is None:
             return None
-        values, _ = base_atoms
-        cum = np.asarray(self.base.cdf(values)) ** self.z
-        weights = np.diff(np.concatenate([[0.0], cum]))
-        return values / self.psi, weights
+        # F_j^z - F_(j-1)^z = e^(z L_j) (1 - e^(-z J_j)) with L = log F at the
+        # atoms and J = log1p(w_j / F_(j-1)) its jumps: no difference cancels,
+        # so a weight far below the mass around it keeps its digits
+        values, weights = atoms
+        jumps = np.concatenate([[np.inf], np.log1p(weights[1:] / np.cumsum(weights[:-1]))])
+        logs = self.z * np.asarray(self.base.log_cdf(values))
+        return values / self.psi, np.exp(logs) * -np.expm1(-self.z * jumps)
 
     def _key(self):
         return ("tilted", self.base._key(), self.z)
@@ -857,11 +843,6 @@ class _Scaled(Cdf):
     def __init__(self, base: Cdf, scale: float):
         self.base = base
         self.scale = scale
-
-    def cdf(self, x, left: bool = False):
-        x_arr = np.asarray(x, dtype=float)
-        out = np.asarray(self.base.cdf(x_arr * self.scale, left=left))
-        return _maybe_scalar(out, x_arr.ndim == 0)
 
     def log_cdf(self, x, left: bool = False):
         x_arr = np.asarray(x, dtype=float)
@@ -946,10 +927,8 @@ def tilt(F: UnitMeanCdf, z: float) -> UnitMeanCdf:
     if isinstance(F, TwoPoint):
         return TwoPoint(z * F.theta)
     if isinstance(F, Discrete):
-        psi = F.power_tail_integral(0.0, z)
-        cum = F.cum**z
-        weights = np.diff(np.concatenate([[0.0], cum]))
-        return Discrete(list(zip((F.values / psi).tolist(), weights.tolist())))
+        values, weights = Tilted(F, z).atom_values()
+        return Discrete(list(zip(values.tolist(), weights.tolist())))
     if isinstance(F, Tilted):
         return tilt(F.base, F.z * z)
     return Tilted(F, z)

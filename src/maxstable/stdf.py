@@ -184,7 +184,8 @@ def _as_evaluator(base) -> Evaluator:
 
 
 def stable_evaluator(base, alpha: float) -> Evaluator:
-    """Evaluator of the stable transform l_alpha(t) = l(t^(1/alpha))^alpha."""
+    """Evaluator of the stable transform l_alpha(t) = l(t^(1/alpha))^alpha,
+    as m l((t/m)^(1/alpha))^alpha with m = max t, so no power over- or underflows."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -192,7 +193,8 @@ def stable_evaluator(base, alpha: float) -> Evaluator:
 
     def transformed(t) -> float:
         tt = weight_vector(t)
-        return float(ev(tt ** (1.0 / alpha)) ** alpha)
+        m = float(tt.max(initial=0.0))
+        return m * float(ev((tt / m) ** (1.0 / alpha)) ** alpha) if m > 0.0 else 0.0
 
     return transformed
 
@@ -203,13 +205,13 @@ def stable_transform(base, alpha: float, t) -> float:
 
 
 def inclusion_exclusion_evaluator(base) -> Evaluator:
-    """Evaluator of l_Y(t) = sum_k (-1)^(k+1) sum_{i1<...<ik} 1 / l_X(1/t_{i1}, ..., 1/t_{ik})."""
+    """Evaluator of l_Y(t) = sum_k (-1)^(k+1) sum_{i1<...<ik} 1 / l_X(1/t_{i1}, ..., 1/t_{ik}),
+    as m l_Y(t/m) with m = max t, so that no reciprocal of t overflows."""
     ev = _as_evaluator(base)
 
     def transformed(t) -> float:
-        tt = weight_vector(t)
-        tt = tt[tt > 0.0]
-        d = tt.size
+        m, u, _ = _scaled(weight_vector(t))
+        d = u.size
         if d == 0:
             return 0.0
         if d > INCLUSION_EXCLUSION_MAX_DIM:
@@ -217,13 +219,17 @@ def inclusion_exclusion_evaluator(base) -> Evaluator:
                 f"inclusion-exclusion transform supports at most "
                 f"{INCLUSION_EXCLUSION_MAX_DIM} positive entries, got {d}"
             )
-        inv = 1.0 / tt
+        with np.errstate(over="ignore", divide="ignore"):
+            inv = 1.0 / u
+        # keep the entries whose subset sums stay finite; l_Y is 1-Lipschitz,
+        # so the t_k left out (each below d m / 1.8e308) move it by less than their sum
+        inv = inv[inv <= np.finfo(float).max / d]
         total = 0.0
-        for k in range(1, d + 1):
+        for k in range(1, inv.size + 1):
             sign = 1.0 if k % 2 else -1.0
-            for idx in combinations(range(d), k):
+            for idx in combinations(range(inv.size), k):
                 total += sign / ev(inv[list(idx)])
-        return total
+        return m * total
 
     return transformed
 
@@ -243,7 +249,7 @@ def pairwise_l2_identity(F: UnitMeanCdf) -> float:
     if atoms is not None:
         values = atoms[0]
         knots = np.concatenate([[0.0], values[values > 0.0]])
-        surv = 1.0 - np.asarray(F.cdf(knots[:-1]))
+        surv = -np.expm1(np.asarray(F.log_cdf(knots[:-1])))
         integral = float(np.sum(surv**2 * np.diff(knots)))
     else:
         def integrand(s):

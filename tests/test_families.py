@@ -105,18 +105,65 @@ def test_cdf_monotone_bounded(F):
     assert float(F.cdf(np.inf)) == 1.0
 
 
+def exact_log_cdf(F, x, left=False):
+    """log F(x) at 50 digits from the parameters of a family of all_families()."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x))
+        if x < 0:
+            return -math.inf
+        if isinstance(F, Frechet):
+            alpha = mpmath.mpf(F.alpha)
+            c = mpmath.gamma(1 - alpha) ** (-1 / alpha)
+            return float(-c * x ** (-1 / alpha)) if x > 0 else -math.inf
+        if isinstance(F, TwoPoint):
+            # the atoms 0 and q, as the family keeps them
+            below_q = x < F.q or (left and x == F.q)
+            if x == 0 and left:
+                return -math.inf
+            return float(-mpmath.mpf(F.theta)) if below_q else 0.0
+        if isinstance(F, UnitExponential):
+            return float(mpmath.log(-mpmath.expm1(-x)))
+        if isinstance(F, Discrete):
+            weights = [mpmath.mpf(float(w)) for w in F.weights]
+            kept = [w for v, w in zip(F.values, weights) if (v < x if left else v <= x)]
+            return float(mpmath.log(mpmath.fsum(kept) / mpmath.fsum(weights)))
+        if isinstance(F, Tilted):
+            # psi = digamma(z + 1) + gamma for a unit exponential base
+            z = mpmath.mpf(F.z)
+            psi = mpmath.digamma(z + 1) + mpmath.euler
+            return float(z * mpmath.log(-mpmath.expm1(-x * psi)))
+        if isinstance(F, Rescaled):
+            return float(mpmath.log(min(x * mpmath.mpf(F.scale) / F.base.width, 1)))
+    raise TypeError(F)
+
+
 @pytest.mark.parametrize("F", all_families(), ids=repr)
 def test_log_cdf_consistent(F):
+    # against log F written out at 50 digits, off and on the atoms, where F
+    # underflows too (Frechet(0.2) near 0.01)
     rng = np.random.default_rng(33)
     xs = rng.uniform(0.01, 8.0, size=50)
-    vals = np.asarray(F.cdf(xs))
-    logs = np.asarray(F.log_cdf(xs))
-    # where the cdf is representable, the two routes agree; where it
-    # underflows, log_cdf still carries the (large negative) exponent
-    ok = vals > 1e-300
-    with np.errstate(divide="ignore"):
-        assert_allclose(logs[ok], np.log(vals[ok]), rtol=1e-9, atol=1e-12)
-    assert np.all(logs[~ok] < -600.0)
+    atoms = F.atom_values()
+    if atoms is not None:
+        xs = np.concatenate([xs, atoms[0]])
+    for left in (False, True):
+        logs = np.asarray(F.log_cdf(xs, left=left))
+        exact = np.array([exact_log_cdf(F, x, left) for x in xs])
+        assert_allclose(logs, exact, rtol=1e-13, atol=0.0)
+        assert_allclose(np.asarray(F.cdf(xs, left=left)), np.exp(exact), rtol=1e-13,
+                        atol=0.0)
+
+
+def test_a_family_must_define_cdf_or_log_cdf():
+    class Bare(Cdf):
+        def _key(self):
+            return ("bare",)
+
+    for method in (Bare().cdf, Bare().log_cdf):
+        with pytest.raises(NotImplementedError):
+            method(0.5)
 
 
 ATOMIC = [Dirac1(), TwoPoint(0.3), TwoPoint(LN2), PointMass(2.0),
@@ -150,6 +197,41 @@ def test_discrete_log_cdf_keeps_a_tiny_top_weight():
     assert math.copysign(1.0, float(F.log_cdf(top))) == 1.0
     # log of the cdf loses the weight's relative precision
     assert abs(math.log(float(F.cdf(low))) / math.log1p(-top_weight) - 1.0) > 1e-6
+
+
+def test_discrete_with_a_light_bottom_atom_builds_without_a_warning():
+    # the mass above the first atom rounds past 1; log1p of minus it was
+    # nan, though only log(cum) is kept there
+    F = Discrete([(0.006767242381428393, 4.376580651937872e-26),
+                  (0.06767242381428394, 0.00048828124999949514),
+                  (0.6767242381428393, 0.946384358685893),
+                  (6.767242381428393, 0.053127360063072074),
+                  (67.67242381428395, 1.0354461614264286e-12)])
+    assert float(F.log_cdf(F.values[0])) == math.log(F.weights[0])
+
+
+@pytest.mark.parametrize("z", [0.1, 2.0, 20.0])
+@pytest.mark.parametrize("atoms", [
+    [(0.5, 0.5), (1.0, 1e-15), (1.5, 0.5 - 1e-15)],
+    [(0.5, 0.3), (1.0, 1e-15), (1.0 / 0.7 * 0.85, 0.7 - 1e-15)],
+    [(0.5, 1e-15), (1.0, 1.0 - 1e-15)],
+], ids=["light middle", "light middle below 1/2", "light bottom"])
+def test_tilted_weights_of_light_atoms(atoms, z):
+    # a difference of the levels log F cancelled on a light middle atom (8e-4
+    # off); the jump is log1p(w_j / F_(j-1)) now.  e^(z log F) keeps a
+    # relative z |log F| eps (see test_tilted_atomic_weights_match_mpmath)
+    import mpmath
+
+    F = Discrete(atoms)
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(float(v)) for v in F.weights]
+        cum = [mpmath.fsum(w[:j + 1]) for j in range(len(w))]
+        exact = np.array([float(c ** z - p ** z) for c, p in zip(cum, [0] + cum[:-1])])
+        rtol = 1e-14 + 4.0 * z * np.finfo(float).eps * np.array(
+            [float(-mpmath.log(c)) for c in cum])
+    _, weights = Tilted(F, z).atom_values()
+    assert np.all(np.abs(weights - exact) <= rtol * exact)
+    assert np.array_equal(tilt(F, z).weights, weights / weights.sum())
 
 
 class _TwoAtoms(Cdf):
@@ -442,10 +524,12 @@ def test_frechet_tail_integral_matches_mpmath(alpha):
     Tilted(Frechet(0.5), 2.0), Exponential(2.0), PointMass(2.5),
     DiscreteCdf([(0.5, 0.5), (3.0, 0.5)])], ids=repr)
 def test_cdf_vanishes_below_zero(F):
-    x = np.array([-1e300, -1.0, -1e-300])
+    x = np.array([-np.inf, -1e300, -1.0, -1e-300])
     for left in (False, True):
         assert np.all(np.asarray(F.cdf(x, left=left)) == 0.0)
         assert float(F.cdf(-1.0, left=left)) == 0.0
+        assert np.all(np.asarray(F.log_cdf(x, left=left)) == -np.inf)
+        assert float(F.log_cdf(-1e-300, left=left)) == -math.inf
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.99999])

@@ -190,3 +190,43 @@ def test_copula_is_exp_of_minus_canonical(model, u):
     u = np.asarray(u)
     assert bits(copula, model, u) == bits(
         lambda: math.exp(-stdf_canonical(model, -np.log(u))))
+
+
+@st.composite
+def tiny_weight_laws(draw):
+    """Discrete laws with weights as light as 1e-15 at the bottom, in the
+    middle or at the top, at atom ratios up to 1e12."""
+    n = draw(st.integers(2, 5))
+    raw = [10.0 ** draw(st.floats(-15.0, 0.0)) for _ in range(n)]
+    weights = np.array(raw) / math.fsum(raw)
+    values = np.cumprod([1.0] + [10.0 ** draw(st.floats(0.01, 12.0)) for _ in raw[1:]])
+    if draw(st.booleans()):
+        values[0] = 0.0
+    values /= values @ weights
+    return Discrete(list(zip(values.tolist(), weights.tolist())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_weight_laws(), Z.filter(lambda z: z != 1.0))  # tilt(F, 1) is F itself
+def test_tilted_atomic_weights_match_mpmath(F, z):
+    # F_j^z - F_(j-1)^z at 50 digits, from the law's own weights.  The
+    # weights are e^(z L_j) (1 - e^(-z J_j)): the jump J_j keeps its relative
+    # precision, but L_j = log F_j carries an absolute rounding of about
+    # |L_j| eps, which e^(z L_j) turns into a relative z |L_j| eps (a bottom
+    # weight of 1e-15 at z = 20: up to 1.5e-13).  Subnormal weights keep
+    # only an absolute precision.
+    import mpmath
+
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(float(v)) for v in F.weights]
+        cum = [mpmath.fsum(w[:j + 1]) / mpmath.fsum(w) for j in range(len(w))]
+        exact = np.array([float(c ** z - p ** z) for c, p in zip(cum, [0] + cum[:-1])])
+        rtol = 1e-14 + 4.0 * z * eps * np.array([float(-mpmath.log(c)) for c in cum])
+    values, weights = Tilted(F, z).atom_values()
+    G = tilt(F, z)
+    assert isinstance(G, Discrete)
+    assert np.array_equal(G.values, values)
+    assert np.array_equal(G.weights, weights / weights.sum())
+    for got in (weights, G.weights):
+        assert np.all(np.abs(got - exact) <= rtol * exact + np.finfo(float).tiny)

@@ -14,6 +14,7 @@ from maxstable import (
     LevySpec,
     MixingMeasure,
     NumericError,
+    Tilted,
     TwoPoint,
     UnitExponential,
     bernstein_psi,
@@ -423,6 +424,49 @@ def test_discrete_tiny_bottom_weight_power_tail():
     for z in (0.3, 0.5, 2.0):
         exact = _step_integral(F, (1.0,), z)
         assert F.power_tail_integral(0.0, z) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+@pytest.mark.parametrize("z", [0.5, 2.0, 7.0])
+@pytest.mark.parametrize("w", [1e-9, 1e-12, 1e-15])
+def test_tilted_tiny_top_weight(w, z, method):
+    # the tilted weights come from log F; as differences of powers of the
+    # cdf they lost the top weight, and tilt raised on the mean
+    F = Discrete([(0.5 / (1.0 - w), 1.0 - w), (0.5 / w, w)])
+    t = (1.0, 2.0, 0.5)
+    # u = s psi: l of the tilted law is int (1 - prod_k F(u/t_k)^z) du / psi
+    exact = _step_integral(F, t, z) / _step_integral(F, (1.0,), z)
+    for G in (tilt(F, z), Tilted(F, z)):
+        assert stdf_extremal(G, t, method) == pytest.approx(exact, rel=1e-13, abs=0.0)
+    if (w, z) == (1e-12, 2.0):
+        assert f"{stdf_extremal(tilt(F, z), t, method):.13g}" == "2.999999999995"
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_stable_transform_takes_max_t_out_before_the_power(c):
+    # t^(1/alpha) under- or overflowed before: 0 at 1e-200, ValueError at 1e200
+    model = point_model(Frechet(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = stable_transform(model, 0.5, [c, c])
+    assert value == pytest.approx(c * 2.0 ** 0.25, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("t, exact", [
+    ([1e-310, 1.0], 1.0),
+    ([2e-310, 1e300], 1e300),
+    # m / t_k = 1e308 is finite, but the subset {1e308, 1e308} sums to oo
+    ([1e-200, 1e-200, 1e108], 1e108),
+    ([1e-308, 1e-308, 1.0], 1.0),
+])
+def test_inclusion_exclusion_takes_max_t_out_before_the_reciprocal(t, exact):
+    # 1 / 1e-310 overflowed; entries left out because m / t_k is too large
+    # to sum move l_Y by less than d m / 1.8e308
+    model = point_model(Frechet(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = inclusion_exclusion_transform(model, t)
+    assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_numeric_error_carries_achieved_tolerance():
