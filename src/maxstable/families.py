@@ -21,8 +21,9 @@ fallbacks are Gauss-Kronrod quadrature (``_quad.tail_quad``, tail map from
 first draw.  Objects are otherwise immutable and safe to share across threads.
 
 Each law has one implementation.  Point masses are one-atom discrete laws
-(Dirac1 a Discrete, PointMass a DiscreteCdf), and the scale wrapper
-F(x) = G(x * scale) serves both Rescaled (scale = mean of G) and Exponential
+(Dirac1 a Discrete, PointMass a DiscreteCdf), TwoPoint is the two-atom
+Discrete law with log F = -theta exact, and the scale wrapper F(x) =
+G(x * scale) serves both Rescaled (scale = mean of G) and Exponential
 (scale = 1 / mean over UnitExponential).
 
 Only numpy is needed: the Frechet tail integrals use the incomplete gamma
@@ -474,57 +475,6 @@ def _gammainc(s: float, v) -> np.ndarray:
     return out.reshape(shape)
 
 
-class TwoPoint(UnitMeanCdf):
-    """Mass e^(-theta) at 0 and mass 1 - e^(-theta) at q = 1/(1 - e^(-theta)).
-
-    The jump distribution of a compound Poisson subordinator with constant
-    jump size theta, normalized to unit mean.
-    """
-
-    def __init__(self, theta: float):
-        theta = float(theta)
-        if not (theta > 0.0 and math.isfinite(theta)):
-            raise ValueError(f"theta must be positive and finite, got {theta}")
-        self.theta = theta
-        self.p0 = math.exp(-theta)
-        self.q = 1.0 / -math.expm1(-theta)
-        self._steps = (np.array([0.0, self.q]), _log_jumps(np.array([-theta, 0.0])))
-
-    def log_cdf(self, x, left: bool = False):
-        # -oo below 0, exactly -theta on [0, q) (on (0, q] for the left
-        # limit), 0 beyond: log(exp(-theta)) would lose theta's precision
-        x_arr = np.asarray(x, dtype=float)
-        lo, hi = (x_arr > 0.0, x_arr > self.q) if left else (x_arr >= 0.0, x_arr >= self.q)
-        out = np.where(hi, 0.0, np.where(lo, -self.theta, -np.inf))
-        return _maybe_scalar(out, x_arr.ndim == 0)
-
-    def quantile(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        out = np.where(p_arr <= self.p0, 0.0, self.q)
-        return _maybe_scalar(out, p_arr.ndim == 0)
-
-    def tail_integral(self, a):
-        a_arr = np.asarray(a, dtype=float)
-        out = -math.expm1(-self.theta) * np.clip(self.q - a_arr, 0.0, None)
-        return _maybe_scalar(out, a_arr.ndim == 0)
-
-    def support_upper(self) -> float:
-        return self.q
-
-    def atom_values(self):
-        return np.array([0.0, self.q]), np.array([self.p0, -math.expm1(-self.theta)])
-
-    def _atom_steps(self):
-        return self._steps
-
-    def sample_size_biased(self, rng, size=None):
-        # value-weighted masses kill the atom at zero: q * (1 - p0) == 1
-        return self.q if size is None else np.full(size, self.q)
-
-    def _key(self):
-        return ("two_point", self.theta)
-
-
 class UnitExponential(UnitMeanCdf):
     """F(x) = 1 - e^(-x)."""
 
@@ -652,22 +602,27 @@ class _DiscreteBase(Cdf):
         uniq, inverse = np.unique(values, return_inverse=True)
         merged = np.zeros_like(uniq)
         np.add.at(merged, inverse, weights)
-        self.values = uniq
-        self.weights = merged / merged.sum()
-        self.cum = np.cumsum(self.weights)
-        self.cum[-1] = 1.0
+        weights = merged / merged.sum()
+        cum = np.cumsum(weights)
+        cum[-1] = 1.0
         # log F at the atoms: log1p of minus the weight above where F > 1/2,
         # so that a tiny top weight keeps its relative precision, and log(cum)
         # below, where log1p(-above) would lose that of a tiny bottom weight
-        above = np.concatenate([np.cumsum(self.weights[:0:-1])[::-1], [0.0]])
+        above = np.concatenate([np.cumsum(weights[:0:-1])[::-1], [0.0]])
         with np.errstate(divide="ignore"):
-            log_cum = np.log(self.cum)
+            log_cum = np.log(cum)
         # log1p only where F > 1/2: above a light bottom atom the sum can round past 1
-        upper = self.cum > 0.5
+        upper = cum > 0.5
         log_cum[upper] = np.log1p(-above[upper])
         log_cum[-1] = 0.0
-        self._log_levels = np.concatenate([[-np.inf], log_cum])
-        self._steps = (self.values, _log_jumps(log_cum))
+        self._tabulate(uniq, weights, cum, log_cum)
+
+    def _tabulate(self, values, weights, cum, log_levels):
+        """Keep the sorted atoms, their weights, F and log F at them, and the
+        tables that log_cdf and _atom_steps read."""
+        self.values, self.weights, self.cum = values, weights, cum
+        self._log_levels = np.concatenate([[-np.inf], log_levels])
+        self._steps = (values, _log_jumps(log_levels))
 
     def log_cdf(self, x, left: bool = False):
         # log F at atom j on [values[j], values[j + 1]), shifted to the right
@@ -778,6 +733,43 @@ class PointMass(DiscreteCdf):
     __repr__ = Cdf.__repr__
 
 
+class TwoPoint(Discrete):
+    """Mass e^(-theta) at 0 and mass 1 - e^(-theta) at q = 1/(1 - e^(-theta)).
+
+    The jump distribution of a compound Poisson subordinator with constant
+    jump size theta, normalized to unit mean.  The table is built from
+    theta, so log F = -theta exactly on [0, q), also where e^(-theta)
+    underflows.
+    """
+
+    def __init__(self, theta: float):
+        theta = float(theta)
+        if not (theta > 0.0 and math.isfinite(theta)):
+            raise ValueError(f"theta must be positive and finite, got {theta}")
+        self.theta = theta
+        self.p0 = math.exp(-theta)
+        top = -math.expm1(-theta)
+        self.q = 1.0 / top
+        self._tabulate(np.array([0.0, self.q]), np.array([self.p0, top]),
+                       np.array([self.p0, 1.0]), np.array([-theta, 0.0]))
+
+    def quantile(self, p):
+        # one comparison, not a searchsorted over the two atoms
+        p_arr = np.asarray(p, dtype=float)
+        out = np.where(p_arr <= self.p0, 0.0, self.q)
+        return _maybe_scalar(out, p_arr.ndim == 0)
+
+    def sample_size_biased(self, rng, size=None):
+        # value-weighted masses kill the atom at zero: q * (1 - p0) == 1;
+        # no randomness is drawn
+        return self.q if size is None else np.full(size, self.q)
+
+    def _key(self):
+        return ("two_point", self.theta)
+
+    __repr__ = Cdf.__repr__
+
+
 class Tilted(UnitMeanCdf):
     """The power-tilted family F_z(x) = F(x * psi)^z with psi = int_0^oo (1 - F^z).
 
@@ -825,13 +817,16 @@ class Tilted(UnitMeanCdf):
         atoms = self.base.atom_values()
         if atoms is None:
             return None
-        # F_j^z - F_(j-1)^z = e^(z L_j) (1 - e^(-z J_j)) with L = log F at the
-        # atoms and J = log1p(w_j / F_(j-1)) its jumps: no difference cancels,
-        # so a weight far below the mass around it keeps its digits
+        # F_j^z - F_(j-1)^z = F_j^z (1 - e^(-z J_j)) with J = log1p(w_j /
+        # F_(j-1)) the jumps of log F: no difference cancels, so a weight far
+        # below the mass around it keeps its digits.  F_j^z is a power of F_j
+        # up to 1/2 and e^(z log F_j) above, each exact to rounding there
         values, weights = atoms
-        jumps = np.concatenate([[np.inf], np.log1p(weights[1:] / np.cumsum(weights[:-1]))])
-        logs = self.z * np.asarray(self.base.log_cdf(values))
-        return values / self.psi, np.exp(logs) * -np.expm1(-self.z * jumps)
+        cum = np.cumsum(weights)
+        jumps = np.concatenate([[np.inf], np.log1p(weights[1:] / cum[:-1])])
+        powers = np.where(cum <= 0.5, cum ** self.z,
+                          np.exp(self.z * np.asarray(self.base.log_cdf(values))))
+        return values / self.psi, powers * -np.expm1(-self.z * jumps)
 
     def _key(self):
         return ("tilted", self.base._key(), self.z)

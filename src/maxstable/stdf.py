@@ -103,11 +103,18 @@ def _extremal(F: UnitMeanCdf, scaled, method: str) -> float:
 
 def _canonical(model: CanonicalModel, tt: np.ndarray, method: str) -> float:
     """stdf_canonical for a validated t and method."""
-    total = float(tt.sum())
+    with np.errstate(over="ignore"):
+        total = float(tt.sum())
     if model.b == 1.0 or model.mu is None:
         return model.b * total
     scaled = _scaled(tt)
     mix = math.fsum(w * _extremal(F, scaled, method) for w, F in model.mu)
+    if model.b == 0.0:
+        return mix
+    if math.isinf(total):
+        # sum t overflows where b sum t need not: m (b sum t/m)
+        m, u, _ = scaled
+        return m * (model.b * float(u.sum())) + (1.0 - model.b) * mix
     return model.b * total + (1.0 - model.b) * mix
 
 

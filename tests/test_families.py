@@ -8,18 +8,23 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from maxstable import (
+    CanonicalModel,
     Cdf,
     Dirac1,
     Discrete,
     DiscreteCdf,
     Exponential,
     Frechet,
+    MixingMeasure,
     PointMass,
     Rescaled,
     Tilted,
     TwoPoint,
     UnitExponential,
     rescale_to_unit_mean,
+    sample_conditional_iid_batch,
+    sample_minstable_batch,
+    stdf_extremal,
     tilt,
 )
 from maxstable.families import _SizeBiasedTable, _gammainc, _harmonic, _suffix_sums
@@ -218,8 +223,9 @@ def test_discrete_with_a_light_bottom_atom_builds_without_a_warning():
 ], ids=["light middle", "light middle below 1/2", "light bottom"])
 def test_tilted_weights_of_light_atoms(atoms, z):
     # a difference of the levels log F cancelled on a light middle atom (8e-4
-    # off); the jump is log1p(w_j / F_(j-1)) now.  e^(z log F) keeps a
-    # relative z |log F| eps (see test_tilted_atomic_weights_match_mpmath)
+    # off), and e^(z log F) on a light bottom atom was a relative z |log F|
+    # eps off (2.2e-14 at z = 20); the jump is log1p(w_j / F_(j-1)) and F^z a
+    # power of F up to F = 1/2 now
     import mpmath
 
     F = Discrete(atoms)
@@ -227,10 +233,8 @@ def test_tilted_weights_of_light_atoms(atoms, z):
         w = [mpmath.mpf(float(v)) for v in F.weights]
         cum = [mpmath.fsum(w[:j + 1]) for j in range(len(w))]
         exact = np.array([float(c ** z - p ** z) for c, p in zip(cum, [0] + cum[:-1])])
-        rtol = 1e-14 + 4.0 * z * np.finfo(float).eps * np.array(
-            [float(-mpmath.log(c)) for c in cum])
     _, weights = Tilted(F, z).atom_values()
-    assert np.all(np.abs(weights - exact) <= rtol * exact)
+    assert np.all(np.abs(weights - exact) <= 1e-14 * exact)
     assert np.array_equal(tilt(F, z).weights, weights / weights.sum())
 
 
@@ -566,6 +570,22 @@ def test_two_point_tail_integral_small_theta(theta):
     assert F.mean() == pytest.approx(1.0, rel=1e-14, abs=0.0)
     values, weights = F.atom_values()
     assert float(values @ weights) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [746.0, 1000.0, 1e300])
+def test_two_point_where_the_atom_at_zero_underflows(theta):
+    # e^-theta is 0, so a law built from the weights would have an atom of
+    # weight 0; the table from theta keeps log F = -theta, and the law is the
+    # comonotone one: l(t) = max t, every row one value
+    F = TwoPoint(theta)
+    assert F.q == 1.0 and float(F.log_cdf(0.5)) == -theta
+    assert stdf_extremal(F, [1.0, 2.0, 0.5]) == 2.0
+    model = CanonicalModel(0.0, MixingMeasure.point(F))
+    for rows in (sample_minstable_batch(model, 3, 5, np.random.default_rng(1)),
+                 sample_conditional_iid_batch(model.to_triplet(), 3, 5,
+                                              np.random.default_rng(1))):
+        assert rows.shape == (5, 3) and np.all(np.isfinite(rows) & (rows > 0.0))
+        assert np.all(rows == rows[:, :1])
 
 
 def test_point_mass_closed_forms():

@@ -210,23 +210,44 @@ def tiny_weight_laws(draw):
 @given(tiny_weight_laws(), Z.filter(lambda z: z != 1.0))  # tilt(F, 1) is F itself
 def test_tilted_atomic_weights_match_mpmath(F, z):
     # F_j^z - F_(j-1)^z at 50 digits, from the law's own weights.  The
-    # weights are e^(z L_j) (1 - e^(-z J_j)): the jump J_j keeps its relative
-    # precision, but L_j = log F_j carries an absolute rounding of about
-    # |L_j| eps, which e^(z L_j) turns into a relative z |L_j| eps (a bottom
-    # weight of 1e-15 at z = 20: up to 1.5e-13).  Subnormal weights keep
-    # only an absolute precision.
+    # weights are F_j^z (1 - e^(-z J_j)): the jump J_j keeps its relative
+    # precision, and so does F_j^z, a power of F_j up to 1/2 and e^(z log F_j)
+    # above, where log F_j = log1p(-mass above) keeps a light top weight.
+    # Subnormal weights keep only an absolute precision.
     import mpmath
 
-    eps = np.finfo(float).eps
     with mpmath.workdps(50):
         w = [mpmath.mpf(float(v)) for v in F.weights]
         cum = [mpmath.fsum(w[:j + 1]) / mpmath.fsum(w) for j in range(len(w))]
         exact = np.array([float(c ** z - p ** z) for c, p in zip(cum, [0] + cum[:-1])])
-        rtol = 1e-14 + 4.0 * z * eps * np.array([float(-mpmath.log(c)) for c in cum])
     values, weights = Tilted(F, z).atom_values()
     G = tilt(F, z)
     assert isinstance(G, Discrete)
     assert np.array_equal(G.values, values)
     assert np.array_equal(G.weights, weights / weights.sum())
     for got in (weights, G.weights):
-        assert np.all(np.abs(got - exact) <= rtol * exact + np.finfo(float).tiny)
+        assert np.all(np.abs(got - exact) <= 1e-14 * exact + np.finfo(float).tiny)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(math.log(1e-12), math.log(1e3)).map(math.exp),
+       st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5))
+def test_two_point_is_the_two_atom_table_from_theta(theta, t):
+    F = TwoPoint(theta)
+    q, p0 = F.q, math.exp(-theta)
+    assert np.all(F.log_cdf(np.array([0.0, 0.5 * q, np.nextafter(q, 0.0)])) == -theta)
+    assert np.all(F.log_cdf(np.array([5e-324, 0.5 * q, q]), left=True) == -theta)
+    p = np.array([0.0, p0, np.nextafter(p0, 1.0), 0.5, 1.0])
+    assert np.array_equal(F.quantile(p), np.where(p <= p0, 0.0, q))
+    a = np.array([0.0, 0.5 * q, q, 2.0 * q])
+    assert np.array_equal(F.tail_integral(a), -math.expm1(-theta) * np.maximum(q - a, 0.0))
+    values, jumps = F._atom_steps()
+    assert np.array_equal(values, [0.0, q]) and np.array_equal(jumps, [np.inf, theta])
+    if p0 > 0.0:
+        # the law from the weights builds; where e^-theta is subnormal its
+        # log F at 0 loses digits, which l(t) hardly sees
+        G = Discrete([(0.0, p0), (q, -math.expm1(-theta))])
+        for method in ("auto", "quadrature"):
+            expected = stdf_extremal(G, t, method=method)
+            assert stdf_extremal(F, t, method=method) == pytest.approx(
+                expected, rel=1e-14, abs=0.0)

@@ -469,6 +469,19 @@ def test_inclusion_exclusion_takes_max_t_out_before_the_reciprocal(t, exact):
     assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("F, b, exact", [
+    (Dirac1(), 0.0, 1e308),
+    (Dirac1(), 0.5, 1.5e308),
+    (Frechet(0.5), 0.0, math.sqrt(2.0) * 1e308),
+])
+def test_canonical_where_the_sum_of_t_overflows(F, b, exact):
+    # b sum t was 0 * oo = nan at b = 0 and oo at b = 1/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = stdf_canonical(point_model(F, b), [1e308, 1e308])
+    assert value == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
 def test_numeric_error_carries_achieved_tolerance():
     err = NumericError("boom", achieved=3e-8)
     assert err.achieved == 3e-8
