@@ -17,14 +17,16 @@ of the surface each family exposes:
 Closed forms live in ``_product_tail``: int_a^oo (1 - prod_k F(s/t_k)^p_k) ds,
 behind the tail integrals and l_F(t), summed exactly for atomic laws.  The
 fallbacks are Gauss-Kronrod quadrature (``_quad.tail_quad``, tail map from
-``tail_index()``), monotone bisection and a size-biased table cached by the
-first draw.  Objects are otherwise immutable and safe to share across threads.
+``tail_index()``) and a table of the size-biased cdf, cached by the first
+draw, whose inverse serves every u in (0, 1].  Objects are otherwise
+immutable and safe to share across threads.
 
 Each law has one implementation.  Point masses are one-atom discrete laws
 (Dirac1 a Discrete, PointMass a DiscreteCdf), TwoPoint is the two-atom
-Discrete law with log F = -theta exact, and the scale wrapper F(x) =
-G(x * scale) serves both Rescaled (scale = mean of G) and Exponential
-(scale = 1 / mean over UnitExponential).
+Discrete law with log F = -theta exact, every atomic law draws size-biased
+values from its masses v w, kept at construction, and the scale wrapper
+F(x) = G(x * scale) serves both Rescaled (scale = mean of G) and
+Exponential (scale = 1 / mean over UnitExponential).
 
 Only numpy is needed: the Frechet tail integrals use the incomplete gamma
 function of _gammainc, and Tilted's normalizing constant for a
@@ -94,7 +96,7 @@ class Cdf:
         raise NotImplementedError
 
     def tail_integral(self, a):
-        """int_a^oo (1 - F(u)) du.  Vectorized over ``a``."""
+        """int_a^oo (1 - F(u)) du, elementwise over ``a``."""
         a_arr = np.asarray(a, dtype=float)
         if a_arr.ndim == 0:
             return self.power_tail_integral(float(a_arr), 1.0)
@@ -178,7 +180,7 @@ class Cdf:
     def sample_size_biased(self, rng, size=None):
         """Sample from the size-biased distribution t -> int_0^t s dF(s) / mean.
 
-        Inverts a table of int_0^x (1 - F) that the first draw builds
+        Inverts the size-biased cdf by a table that the first draw builds
         (see _SizeBiasedTable).
         """
         u = 1.0 - (rng.random() if size is None else rng.random(size))
@@ -190,28 +192,6 @@ class Cdf:
         return float(out[0]) if size is None else out.reshape(np.shape(u))
 
     # -- internals ------------------------------------------------------
-
-    def _size_biased_cdf(self, t: float) -> float:
-        # int_0^t s dF(s) / mean == (mean - tail(t) - t (1 - F(t))) / mean
-        m, log_f = self.mean(), float(self.log_cdf(t))
-        return (m - float(self.tail_integral(t)) + t * math.expm1(log_f)) / m
-
-    def _size_biased_inverse(self, u: float) -> float:
-        hi = max(float(self.quantile(0.9)), 1.0)
-        upper = self.support_upper()
-        for _ in range(200):
-            if self._size_biased_cdf(hi) >= u or hi >= upper:
-                break
-            hi *= 2.0
-        hi = min(hi, upper)
-        lo = 0.0
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if self._size_biased_cdf(mid) >= u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def _key(self):
         raise NotImplementedError
@@ -246,8 +226,12 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
     return rows.ravel()[n - 1::-1]
 
 
-#: geometric nodes of a size-biased table
+#: geometric nodes of a size-biased table up to its 1 - 1e-15 quantile
 _TABLE_NODES = 1000
+#: past them the nodes go on at the same ratio up to the first t with
+#: t (1 - F(t)) at most _TABLE_TAIL times the mean, but not past _TABLE_CAP
+_TABLE_TAIL = 1e-17
+_TABLE_CAP = 1e300
 #: 5-point Gauss-Legendre rule on [0, 1] in closed form (leggauss would call
 #: LAPACK, whose workspace then stays resident)
 _GL_X = 0.5 + np.array([-1, -1, 0, 1, 1]) * np.sqrt(
@@ -265,17 +249,20 @@ class _SizeBiasedTable:
 
     C is tabulated at 0, at _TABLE_NODES geometric nodes between the 1e-15
     and 1 - 1e-15 quantiles (the upper one found from log_cdf where the
-    quantile rounds to inf) and at the atoms, by one 5-point
-    Gauss-Legendre panel per interval; atoms are nodes because the rule is
-    wrong across a jump.  A value u is placed between two nodes by
-    searchsorted, and an Illinois secant solves G(t) = u between them, with
-    C(t) from a Gauss-Legendre panel over [node, t]; the secant keeps the
-    upper end, so u in the jump of G at an atom returns the atom.  Values
-    above G at the last node (probability ~1e-14) go to the scalar inverse.
+    quantile rounds to inf), at the nodes of _grow past them and at the
+    atoms, by one 5-point Gauss-Legendre panel per interval; atoms are
+    nodes because the rule is wrong across a jump.  A value u is placed
+    between two nodes by searchsorted, and an Illinois secant solves G(t) =
+    u between them, with C(t) from a Gauss-Legendre panel over [node, t];
+    the secant keeps the upper end, so u in the jump of G at an atom
+    returns the atom.  A value above G at the last node returns that node
+    where the tail is negligible there, else inf, as Frechet's own sampler
+    does: 1 - G(1e300) is 9e-4 for Tilted(Frechet(0.99), 2).
     """
 
     def __init__(self, F: Cdf):
         self.F = F
+        self.mean = F.mean()
         hi = float(F.quantile(1.0 - 1e-15))
         if not math.isfinite(hi):
             # the quantile can round its argument up to 1, as Tilted does
@@ -286,16 +273,43 @@ class _SizeBiasedTable:
         lo = float(F.quantile(1e-15))
         if not lo > 0.0:
             lo = 1e-15 * hi
-        nodes = [[0.0], np.geomspace(lo, hi, _TABLE_NODES)]
+        # a law with all but 1e-15 of its mass near one point, lo ~ hi, still
+        # grows its nodes by e^(1 / 999) at least
+        step = max(math.log(hi) - math.log(lo), 1.0) / (_TABLE_NODES - 1)
+        grown, self.beyond = self._grow(hi, step)
+        nodes = [[0.0], np.geomspace(lo, hi, _TABLE_NODES), grown]
         atoms = F.atom_values()
         if atoms is not None:
-            nodes.append(atoms[0][(atoms[0] > 0.0) & (atoms[0] < hi)])
+            nodes.append(atoms[0][(atoms[0] > 0.0) & (atoms[0] <= self.beyond)])
         self.nodes = np.unique(np.concatenate(nodes))
-        self.c = np.concatenate([[0.0], np.cumsum(
-            self._panel(self.nodes[:-1], self.nodes[1:]))])
-        self.mean = F.mean()
+        panels = self._panel(self.nodes[:-1], self.nodes[1:])
+        # past hi, where a heavy tail has thousands of nodes, the panels are
+        # summed in rows so that rounding does not grow with their number
+        head = np.cumsum(panels[:np.searchsorted(self.nodes, hi)])
+        tail = _suffix_sums(panels[head.size:][::-1])[::-1]
+        self.c = np.concatenate([[0.0], head, head[-1] + tail])
         # rounding must not unsort the nodes' values for searchsorted
         self.g = np.maximum.accumulate(self._g(self.nodes, self.c))
+
+    def _grow(self, hi, step):
+        """The nodes hi e^(k step), k = 1, 2, ..., up to the first t, hi
+        included, with t (1 - F(t)) at most _TABLE_TAIL times the mean, and
+        t, which a value above G there returns; or, if none comes first, up
+        to the support's top or _TABLE_CAP, and inf.  The tried nodes
+        double, so a light tail costs one small block."""
+        top = min(self.F.support_upper(), _TABLE_CAP)
+        span = math.log(top) - math.log(hi)
+        count = 32
+        while True:
+            # nodes from span on are top itself, so nothing overflows
+            exponent = step * np.arange(count)
+            t = np.where(exponent < span, hi * np.exp(np.minimum(exponent, span)), top)
+            small = t * -np.expm1(self.F.log_cdf(t)) <= _TABLE_TAIL * self.mean
+            if small.any():
+                return t[1:small.argmax() + 1], float(t[small.argmax()])
+            if t[-1] >= top:
+                return t[1:np.searchsorted(t, top) + 1], math.inf
+            count *= 2
 
     def _panel(self, a, b):
         """int_a^b (1 - F), one Gauss-Legendre rule per entry."""
@@ -309,11 +323,10 @@ class _SizeBiasedTable:
 
     def inverse(self, u) -> np.ndarray:
         """inf{t : G(t) >= u} for each u in (0, 1]."""
-        out = np.empty(u.size)
+        out = np.full(u.size, self.beyond)
         i = np.searchsorted(self.g, u, side="left")  # g[i - 1] < u <= g[i]
-        beyond = i >= self.nodes.size
-        out[beyond] = [self.F._size_biased_inverse(v) for v in u[beyond]]
-        out[~beyond] = self._secant(u[~beyond], i[~beyond])
+        inside = i < self.nodes.size
+        out[inside] = self._secant(u[inside], i[inside])
         return out
 
     def _secant(self, u, i):
@@ -378,11 +391,6 @@ class Frechet(UnitMeanCdf):
                 p_arr <= 0.0, 0.0, (self.c / (0.0 - np.log(p_arr))) ** self.alpha
             )
         return _maybe_scalar(out, p_arr.ndim == 0)
-
-    def tail_integral(self, a):
-        a_arr = np.asarray(a, dtype=float)
-        out = _frechet_tail(self.c, self.alpha, a_arr)
-        return _maybe_scalar(out, a_arr.ndim == 0)
 
     def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
         # the product is F's shape with c sum_k p_k t_k^(1/alpha): logistic from 0
@@ -491,10 +499,6 @@ class UnitExponential(UnitMeanCdf):
             out = -np.log1p(-p_arr)
         return _maybe_scalar(out, p_arr.ndim == 0)
 
-    def tail_integral(self, a):
-        a_arr = np.asarray(a, dtype=float)
-        return _maybe_scalar(np.exp(-a_arr), a_arr.ndim == 0)
-
     def _product_tail(self, a: float, t, powers, abs_tol: float) -> float:
         if a == 0.0 and t.size <= INCLUSION_EXCLUSION_MAX_DIM and (powers == 1.0).all():
             # inclusion-exclusion, sum_S (-1)^(|S|+1) / sum_{k in S} 1/t_k over
@@ -516,8 +520,10 @@ class UnitExponential(UnitMeanCdf):
             return _harmonic(z)
         w0 = math.exp(-a)
         # the series' terms sum in absolute value to about (1 + w0)^z, so it
-        # is used only while that cancellation costs at most 4 digits
-        if w0 <= 0.5 and z * math.log1p(w0) <= _SERIES_GROWTH:
+        # is used only while that cancellation costs at most 4 digits, and
+        # above w0 = 1/2 only where it ends, at k = z + 1 for an integer z
+        if ((w0 <= 0.5 or z.is_integer())
+                and z * math.log1p(w0) <= _SERIES_GROWTH):
             # int_0^w0 (1 - (1-w)^z) / w dw as an alternating binomial series
             total = 0.0
             coef = -1.0  # (-1)^(k+1) binom(z, k), by the running product
@@ -623,6 +629,11 @@ class _DiscreteBase(Cdf):
         self.values, self.weights, self.cum = values, weights, cum
         self._log_levels = np.concatenate([[-np.inf], log_levels])
         self._steps = (values, _log_jumps(log_levels))
+        # the size-biased law: masses v w / sum v w, one positive at least
+        biased = values * weights
+        self._biased_cum = np.cumsum(biased / biased.sum())
+        positive = values[biased > 0.0]
+        self._biased_atom = float(positive[0]) if positive.size == 1 else None
 
     def log_cdf(self, x, left: bool = False):
         # log F at atom j on [values[j], values[j + 1]), shifted to the right
@@ -655,9 +666,12 @@ class _DiscreteBase(Cdf):
         return self._steps
 
     def sample_size_biased(self, rng, size=None):
-        probs = self.values * self.weights
-        cum = np.cumsum(probs / probs.sum())
+        if self._biased_atom is not None:
+            # the one atom with positive v w, drawing no randomness
+            atom = self._biased_atom
+            return atom if size is None else np.full(size, atom)
         u = rng.random() if size is None else rng.random(size)
+        cum = self._biased_cum
         idx = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
         out = self.values[idx]
         return float(out) if size is None else out
@@ -707,10 +721,6 @@ class Dirac1(Discrete):
         # every factor is 0 below s = t_k and 1 from there on
         return max(0.0, float(t.max()) - a)
 
-    def sample_size_biased(self, rng, size=None):
-        # the atom itself, drawing no randomness
-        return 1.0 if size is None else np.ones(size)
-
     def _key(self):
         return ("dirac1",)
 
@@ -758,11 +768,6 @@ class TwoPoint(Discrete):
         p_arr = np.asarray(p, dtype=float)
         out = np.where(p_arr <= self.p0, 0.0, self.q)
         return _maybe_scalar(out, p_arr.ndim == 0)
-
-    def sample_size_biased(self, rng, size=None):
-        # value-weighted masses kill the atom at zero: q * (1 - p0) == 1;
-        # no randomness is drawn
-        return self.q if size is None else np.full(size, self.q)
 
     def _key(self):
         return ("two_point", self.theta)
@@ -823,7 +828,9 @@ class Tilted(UnitMeanCdf):
         # up to 1/2 and e^(z log F_j) above, each exact to rounding there
         values, weights = atoms
         cum = np.cumsum(weights)
-        jumps = np.concatenate([[np.inf], np.log1p(weights[1:] / cum[:-1])])
+        # a bottom weight that underflowed to 0 gives the jump log1p(oo) = oo
+        with np.errstate(divide="ignore"):
+            jumps = np.concatenate([[np.inf], np.log1p(weights[1:] / cum[:-1])])
         powers = np.where(cum <= 0.5, cum ** self.z,
                           np.exp(self.z * np.asarray(self.base.log_cdf(values))))
         return values / self.psi, powers * -np.expm1(-self.z * jumps)

@@ -35,12 +35,7 @@ from .families import (
     tilt,
 )
 from .models import CanonicalModel, IdtTriplet, LevySpec, MixingMeasure
-from .stdf import (
-    inclusion_exclusion_evaluator,
-    stable_evaluator,
-    stdf_canonical,
-    stdf_levy,
-)
+from .stdf import _as_evaluator, inclusion_exclusion_evaluator, stable_evaluator
 
 __all__ = ["ModelSpec", "parse_model", "parse_triplet", "dump_model",
            "dump_triplet", "parse_family", "dump_family"]
@@ -179,12 +174,7 @@ class ModelSpec:
 
     def evaluator(self):
         """Stable tail dependence evaluator with transforms applied."""
-        if self.canonical is not None:
-            base = self.canonical
-            ev = lambda t: stdf_canonical(base, t)  # noqa: E731
-        else:
-            spec = self.levy
-            ev = lambda t: stdf_levy(spec, t)  # noqa: E731
+        ev = _as_evaluator(self.canonical if self.canonical is not None else self.levy)
         for tr in self.transforms:
             if tr["kind"] == "stable":
                 ev = stable_evaluator(ev, tr["alpha"])

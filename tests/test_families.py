@@ -51,6 +51,32 @@ class UniformCdf(Cdf):
         return ("uniform", self.width)
 
 
+def scalar_size_biased_inverse(F, u):
+    """inf{t : G(t) >= u} by doubling and bisection, with the size-biased
+    cdf G(t) = (mean - tail(t) - t (1 - F(t))) / mean from the tail integral:
+    the reference that the tabulated inverse is held to."""
+    m = F.mean()
+
+    def g(t):
+        return (m - float(F.tail_integral(t)) + t * math.expm1(float(F.log_cdf(t)))) / m
+
+    hi = max(float(F.quantile(0.9)), 1.0)
+    upper = F.support_upper()
+    for _ in range(200):
+        if g(hi) >= u or hi >= upper:
+            break
+        hi *= 2.0
+    hi = min(hi, upper)
+    lo = 0.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if g(mid) >= u:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def all_families():
     return [
         Dirac1(),
@@ -318,6 +344,44 @@ def test_tail_integral_examples():
 
 
 @pytest.mark.parametrize("F", all_families(), ids=repr)
+def test_tail_integral_is_the_power_one_tail(F):
+    # atomic laws keep sum_j w_j (v_j - a)+, which can round one ulp away from
+    # the step sum of power_tail_integral; every other family is that call
+    for a in (0.0, 0.1, 0.35, 0.6, 1.2, 3.0):
+        value, power_one = float(F.tail_integral(a)), F.power_tail_integral(a, 1.0)
+        if isinstance(F, Discrete):
+            assert value == pytest.approx(power_one, rel=np.finfo(float).eps, abs=0.0)
+        else:
+            assert value == power_one
+    assert_allclose(F.tail_integral(np.array([[0.1, 1.2]])),
+                    [[F.tail_integral(0.1), F.tail_integral(1.2)]], rtol=0.0, atol=0.0)
+
+
+def test_closed_form_tail_integrals_need_no_quadrature(monkeypatch):
+    # below a = ln 2 the exponential's binomial series ends, at k = z + 1,
+    # for an integer z; the Frechet mean is the closed form's 1 exactly
+    from maxstable import families
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("tail_quad called")
+
+    monkeypatch.setattr(families, "tail_quad", no_quadrature)
+    a = np.linspace(0.01, 0.69, 12)
+    assert UnitExponential().tail_integral(a).tolist() == [math.exp(-v) for v in a]
+    assert_allclose(Exponential(3.0).tail_integral(a), 3.0 * np.exp(-a / 3.0),
+                    rtol=1e-15, atol=0.0)
+    for v in a:
+        w = math.exp(-v)
+        assert UnitExponential().power_tail_integral(v, 2.0) == pytest.approx(
+            2.0 * w - 0.5 * w * w, rel=1e-15, abs=0.0)
+    for alpha in (0.2, 0.5, 0.9, 0.99):
+        F = Frechet(alpha)
+        assert F.mean() == 1.0
+        values = F.tail_integral(a)
+        assert np.all(np.diff(values) < 0.0) and np.all(values < 1.0)
+
+
+@pytest.mark.parametrize("F", all_families(), ids=repr)
 @pytest.mark.parametrize("a", [0.0, 0.35, 1.2])
 def test_tail_integral_matches_quadrature(F, a):
     oracle, _ = quad(lambda u: 1.0 - float(F.cdf(u)), a, 60.0, limit=500,
@@ -363,6 +427,15 @@ def test_size_biased_fixed_values():
     assert Dirac1().sample_size_biased(rng) == 1.0
     tp = TwoPoint(LN2)
     assert np.all(np.asarray(tp.sample_size_biased(rng, size=100)) == tp.q)
+    # a law whose masses v w sit on one atom returns it and draws nothing
+    for F, atom in ((tp, tp.q), (TwoPoint(1000.0), 1.0), (PointMass(2.5), 2.5),
+                    (Discrete([(0.0, 0.5), (2.0, 0.5)]), 2.0),
+                    (DiscreteCdf([(0.0, 0.3), (2.5, 0.7)]), 2.5)):
+        state = rng.bit_generator.state
+        value = F.sample_size_biased(rng)
+        assert type(value) is float and value == atom
+        assert F.sample_size_biased(rng, size=(3, 2)).tolist() == [[atom] * 2] * 3
+        assert rng.bit_generator.state == state
 
 
 def test_size_biased_exponential_mean():
@@ -407,7 +480,7 @@ def test_size_biased_table_matches_scalar_inverse(z):
     # finds its top node from the cdf instead
     F = tilt(UnitExponential(), z)
     u = 1.0 - np.random.default_rng(31).random(24)
-    ref = np.array([F._size_biased_inverse(v) for v in u])
+    ref = np.array([scalar_size_biased_inverse(F, v) for v in u])
     assert_allclose(_SizeBiasedTable(F).inverse(u), ref, rtol=1e-12, atol=0.0)
 
 
@@ -416,14 +489,74 @@ def test_size_biased_table_atoms_and_rescaled():
     # generic base draws from the base's table
     F = Tilted(Discrete([(0.5, 0.5), (1.5, 0.5)]), 2.0)
     u = 1.0 - np.random.default_rng(37).random(24)
-    ref = np.array([F._size_biased_inverse(v) for v in u])
+    ref = np.array([scalar_size_biased_inverse(F, v) for v in u])
     assert_allclose(_SizeBiasedTable(F).inverse(u), ref, rtol=1e-12, atol=0.0)
     R = Rescaled(UniformCdf(4.0))
     draws = R.sample_size_biased(np.random.default_rng(41), size=8)
     base = UniformCdf(4.0)
     u = 1.0 - np.random.default_rng(41).random(8)
-    ref = np.array([base._size_biased_inverse(v) for v in u]) / R.scale
+    ref = np.array([scalar_size_biased_inverse(base, v) for v in u]) / R.scale
     assert_allclose(draws, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+def test_size_biased_table_heavy_tail_matches_incomplete_gamma(alpha):
+    # the generic table on a Frechet tail: F_z(x) = exp(-C x^(-1/alpha)) with
+    # C = z c psi^(-1/alpha), so 1 - G(t) = P(1 - alpha, C t^(-1/alpha)) as for
+    # Frechet's own sampler; the table reaches out to 1e300 and returns inf
+    # only for a u above G there
+    import mpmath
+
+    F = Tilted(Frechet(alpha), 2.0)
+    u = np.concatenate([1.0 - np.random.default_rng(53).random(24),
+                        [0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _SizeBiasedTable(F).inverse(u)
+    with mpmath.workdps(40):
+        power = -1 / mpmath.mpf(alpha)
+        C = mpmath.mpf(2.0 * F.base.c) * mpmath.mpf(F.psi) ** power
+
+        def tail(t):
+            return mpmath.gammainc(1 - mpmath.mpf(alpha), 0, C * mpmath.mpf(t) ** power,
+                                   regularized=True)
+
+        for v, t in zip(u, x):
+            if math.isfinite(t):
+                assert abs(tail(t) - (1 - mpmath.mpf(v))) <= 1e-14
+            else:
+                assert tail(1e300) > 1 - mpmath.mpf(v)
+    if alpha == 0.99:
+        assert not np.isfinite(x[-1])  # 1 - G(1e300) is 9e-4 here
+
+
+@pytest.mark.parametrize("F", [tilt(UnitExponential(), 2.0), Tilted(Frechet(0.9), 2.0),
+                               Tilted(Discrete([(0.5, 0.5), (1.5, 0.5)]), 2.0),
+                               Tilted(Discrete([(1.0 - 1e-10, 1.0 - 1e-16), (1e6, 1e-16)]), 2.0),
+                               rescale_to_unit_mean(UniformCdf())], ids=repr)
+def test_size_biased_table_nodes_up_to_the_top_quantile(F):
+    # up to the 1 - 1e-15 quantile the nodes are 0, the geometric ones from
+    # the 1e-15 quantile and the atoms below; the table is built without a
+    # warning.  In the fourth law both quantiles are the bottom atom, and
+    # the nodes past it must still reach the top one
+    lo, hi = float(F.quantile(1e-15)), float(F.quantile(1.0 - 1e-15))
+    if not lo > 0.0:
+        lo = 1e-15 * hi
+    expected = [[0.0], np.geomspace(lo, hi, 1000)]
+    atoms = F.atom_values()
+    if atoms is not None:
+        expected.append(atoms[0][(atoms[0] > 0.0) & (atoms[0] < hi)])
+    expected = np.unique(np.concatenate(expected))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _SizeBiasedTable(F)
+    assert table.nodes[:expected.size].tolist() == expected.tolist()
+    assert np.all(table.nodes[expected.size:] > hi)
+    # every one of these tails is negligible before 1e300, so a u above G at
+    # the last node draws that node, the top of a bounded support
+    assert table.beyond == table.nodes[-1]
+    if math.isfinite(F.support_upper()):
+        assert table.beyond == F.support_upper()
 
 
 def test_size_biased_frechet_gamma_route_matches_incomplete_gamma():
@@ -579,6 +712,11 @@ def test_two_point_where_the_atom_at_zero_underflows(theta):
     # comonotone one: l(t) = max t, every row one value
     F = TwoPoint(theta)
     assert F.q == 1.0 and float(F.log_cdf(0.5)) == -theta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the jump of log F at q is log1p(1 / 0) = oo
+        values, weights = Tilted(F, 2.0).atom_values()
+    assert weights.tolist() == [0.0, 1.0]
     assert stdf_extremal(F, [1.0, 2.0, 0.5]) == 2.0
     model = CanonicalModel(0.0, MixingMeasure.point(F))
     for rows in (sample_minstable_batch(model, 3, 5, np.random.default_rng(1)),
