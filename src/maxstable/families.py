@@ -159,6 +159,10 @@ class Cdf:
         it: the quadrature maps the tail by it."""
         return math.inf
 
+    def _power_law(self):
+        """alpha if -log F(x) = C x^(-1/alpha) on all of x > 0, else None."""
+        return None
+
     def atom_values(self):
         """(values, weights) for purely atomic families, else None."""
         return None
@@ -402,6 +406,9 @@ class Frechet(UnitMeanCdf):
     def tail_index(self) -> float:
         return 1.0 / self.alpha
 
+    def _power_law(self):
+        return self.alpha
+
     def sample_size_biased(self, rng, size=None):
         # V = c X^(-1/alpha) is unit exponential under F, so under x dF(x)
         # it is Gamma(1 - alpha)
@@ -627,6 +634,7 @@ class _DiscreteBase(Cdf):
         """Keep the sorted atoms, their weights, F and log F at them, and the
         tables that log_cdf and _atom_steps read."""
         self.values, self.weights, self.cum = values, weights, cum
+        self._cum_levels = np.concatenate([[0.0], cum])
         self._log_levels = np.concatenate([[-np.inf], log_levels])
         self._steps = (values, _log_jumps(log_levels))
         # the size-biased law: masses v w / sum v w, one positive at least
@@ -635,12 +643,19 @@ class _DiscreteBase(Cdf):
         positive = values[biased > 0.0]
         self._biased_atom = float(positive[0]) if positive.size == 1 else None
 
+    def cdf(self, x, left: bool = False):
+        # cum itself: exp(log F) is a relative |log F| eps off where F is small
+        return self._level(self._cum_levels, x, left)
+
     def log_cdf(self, x, left: bool = False):
-        # log F at atom j on [values[j], values[j + 1]), shifted to the right
-        # end for the left limit; -oo under the first atom
+        return self._level(self._log_levels, x, left)
+
+    def _level(self, levels, x, left):
+        # level j + 1 on [values[j], values[j + 1]), shifted to the right end
+        # for the left limit; levels[0] under the first atom
         x_arr = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.values, x_arr, side="left" if left else "right")
-        return _maybe_scalar(self._log_levels[idx], x_arr.ndim == 0)
+        return _maybe_scalar(levels[idx], x_arr.ndim == 0)
 
     def quantile(self, p):
         p_arr = np.asarray(p, dtype=float)
@@ -818,6 +833,9 @@ class Tilted(UnitMeanCdf):
         # 1 - F(x)^z ~ z (1 - F(x))
         return self.base.tail_index()
 
+    def _power_law(self):
+        return self.base._power_law()
+
     def atom_values(self):
         atoms = self.base.atom_values()
         if atoms is None:
@@ -873,6 +891,9 @@ class _Scaled(Cdf):
 
     def tail_index(self) -> float:
         return self.base.tail_index()
+
+    def _power_law(self):
+        return self.base._power_law()
 
     def atom_values(self):
         base_atoms = self.base.atom_values()

@@ -3,22 +3,21 @@
 All samplers take an explicit numpy Generator and are deterministic given
 it: its state, and the seed sequence that the path samplers spawn from.
 
-The minimum construction is exact: a single Frechet family draws its
-stable frailty, every other mixture is simulated by extremal functions, and
-no truncation is involved.  Only the additive-path series is truncated, and
-only it and first passage take ``tol``: the series stops once the expected
+The minimum construction is exact: a mixture of Frechet-type families
+(-log F an exact power) is a first passage, any other runs by extremal
+functions.  Paths and first passage share one engine: the arrivals of a
+Frechet-type family add up exactly to a stable term s t^(1/alpha) drawn
+per row (Kanter 1975), those of the others stay a series.  Only that series
+is truncated, and only it takes ``tol``: it stops once the expected
 omitted increment over the requested horizon is below ``tol``, using the
 envelope -log F(u-) <= 2 (1 - F(u-)) valid above the median; families with
 bounded support terminate exactly, and atoms below the support infimum pin
 the path to +oo from the corresponding time onward.
 
-First passage Y_k = inf{t : H_t > eta_k} is exact for pure drift and for a
-single Frechet family; the Frechet route draws the stable frailty S of
-H_t = b t + (c t)^(1/alpha) S (Kanter 1975) and ignores ``tol``.  Any other
-triplet runs the series engine (_Rows) on blocks of rows, as sample_idt_path
-runs it on one row: it doubles each row's horizon until the row's certified
-path exceeds its levels, then bisects every coordinate of the block in one
-vectorized sweep on the rows' final paths.
+First passage Y_k = inf{t : H_t > eta_k} runs on blocks of rows, as
+sample_idt_path runs on one row: it doubles each row's horizon until the
+row's certified path exceeds its levels, then bisects every coordinate of
+the block in one vectorized sweep on the rows' final paths.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResourceError
-from .families import Frechet, UnitMeanCdf
+from .families import UnitMeanCdf
 from .models import CanonicalModel, IdtTriplet, MixingMeasure
 
 __all__ = [
@@ -81,14 +80,6 @@ def _mixture_arrays(mu: MixingMeasure):
     return weights, families
 
 
-def _mixture_tail(weights, families, a):
-    """Expected tail mass sum_i w_i int_a^oo (1 - F_i) du, vectorized over a."""
-    total = weights[0] * np.asarray(families[0].tail_integral(a))
-    for w, F in zip(weights[1:], families[1:]):
-        total = total + w * np.asarray(F.tail_integral(a))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # exact minimum construction by extremal functions
 # ---------------------------------------------------------------------------
@@ -106,8 +97,8 @@ def sample_minstable_batch(model: CanonicalModel, d: int, n: int,
     Y = min(E / b, Z / (1 - b)) with E iid unit exponentials and
     Z_k = min_j gamma_j / X_jk over a unit-rate Poisson process whose
     arrivals carry iid vectors X_j: a family drawn from mu, then d iid
-    values of it.  A single Frechet family draws Z by its stable frailty
-    (_passage_frechet); every other mixture by extremal functions.
+    values of it.  Z is the first passage of (0, 1, mu) if every family is
+    Frechet-type, else drawn by extremal functions.
     """
     d, n = int(d), int(n)
     if d < 1:
@@ -116,10 +107,10 @@ def sample_minstable_batch(model: CanonicalModel, d: int, n: int,
         raise ValueError(f"n must be non-negative, got {n}")
     if model.b == 1.0:
         return rng.exponential(size=(n, d))
-    components = model.mu.components
-    if len(components) == 1 and isinstance(components[0][1], Frechet):
-        # Z is the first passage of the triplet (0, 1, mu)
-        extremal = _passage_frechet(0.0, 1.0, components[0][1], d, n, rng)
+    if all(F._power_law() is not None for _, F in model.mu):
+        # no series is left, so no tolerance applies
+        series = _Series(IdtTriplet(0.0, 1.0, model.mu), math.inf)
+        extremal = _first_passage(series, d, n, rng)
     else:
         extremal = _extremal_minimum_batch(model.mu, d, n, rng)
     if model.b == 0.0:
@@ -149,7 +140,7 @@ def _extremal_minimum_batch(mu: MixingMeasure, d: int, n: int,
             if arrivals >= MAX_ARRIVALS:
                 raise ResourceError(
                     f"minimum construction exceeded {MAX_ARRIVALS} arrivals "
-                    f"in coordinate {k}", achieved_bound=float(rows.size))
+                    f"in coordinate {k} with {rows.size} rows open")
             x = _pickands_raw(mu, d, rows.size, np.full(rows.size, k), rng)
             g = gamma[rows]
             # a candidate past the float range is inf, which lowers nothing;
@@ -208,9 +199,8 @@ def sample_pickands_batch(model: CanonicalModel, d: int, n: int, rng):
     while rows.size:
         if attempts > _PICKANDS_MAX_RESAMPLES:
             raise ResourceError(
-                f"simplex sampler hit {_PICKANDS_MAX_RESAMPLES} resample attempts",
-                achieved_bound=float(rows.size),
-            )
+                f"simplex sampler hit {_PICKANDS_MAX_RESAMPLES} resample attempts "
+                f"with {rows.size} rows left")
         w[rows] = _pickands_raw(model.mu, d, rows.size, picked[rows], rng)
         bad = w[rows].sum(axis=1) <= 0.0
         rows = rows[bad]
@@ -252,16 +242,18 @@ class _PathSweep:
 
     Entry r*m + j is the j-th point of row r, whose value at t is
 
-        H_r(t) = drift * t + sum_k -log F_k((gamma_k / t)-)
+        H_r(t) = drift t + sum_i s_ri t^(1/alpha_i) + sum_k -log F_k((gamma_k/t)-)
 
-    over the row's arrivals (gamma_k, F_k), and +oo from the row's pin time
-    on.  Each family's (arrival, entry) pairs go through one log_cdf call and
-    are summed per entry by bincount, in arrival order, so the value of an
-    entry does not depend on which other rows share the sweep.
+    over the row's stable terms (alpha_i, log s_ri) and arrivals (gamma_k,
+    F_k), and +oo from the row's pin time on.  Each family's (arrival,
+    entry) pairs go through one log_cdf call and are summed per entry by
+    bincount, in arrival order, so the value of an entry does not depend on
+    which other rows share the sweep.
     """
 
-    def __init__(self, drift, families, gammas, comps, owners, pins, m):
+    def __init__(self, drift, families, gammas, comps, owners, pins, m, stable):
         self.drift = drift
+        self.stable = [(alpha, np.repeat(scales, m)) for alpha, scales in stable]
         self.pins = np.repeat(np.asarray(pins, dtype=float), m)
         self.ids = np.arange(self.pins.size)
         cols = np.arange(m)
@@ -275,7 +267,9 @@ class _PathSweep:
     def values(self, ts) -> np.ndarray:
         """H at ts[e] for every entry e still held."""
         total = self.drift * ts
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            for alpha, scales in self.stable:
+                total = total + np.exp(np.log(ts) / alpha + scales)
             for F, gammas, entries in self.groups:
                 logs = np.asarray(F.log_cdf(gammas / ts[entries], left=True))
                 total = total - np.bincount(entries, weights=logs,
@@ -297,6 +291,7 @@ class _PathSweep:
                 (F, gammas[keep[entries]], index[entries[keep[entries]]])
                 for F, gammas, entries in self.groups
             ]
+            self.stable = [(alpha, scales[keep]) for alpha, scales in self.stable]
             self.pins, self.ids = self.pins[keep], self.ids[keep]
         pos = np.searchsorted(self.ids, ids)
         full = np.ones(self.ids.size)
@@ -330,15 +325,16 @@ def _bisect(evaluate, eta, t_hi) -> np.ndarray:
 class IdtPath:
     """One truncated realization of a non-decreasing additive path.
 
-    ``atoms`` lists the Poisson arrivals (gamma, F) kept before the stopping
-    rule fired; the arrivals are drawn at rate ``intensity``, so evaluation
-    needs no further scaling:
+    ``stable`` holds (alpha, log s) per Frechet-type family, whose arrivals
+    add up to s t^(1/alpha); ``atoms`` lists the arrivals (gamma, F) of the
+    others kept before the stopping rule fired, drawn at rate
+    ``intensity``, so evaluation needs no further scaling:
 
-        H(t) = drift * t + sum_k -log F_k((gamma_k / t)-).
+        H(t) = drift * t + sum_i s_i t^(1/alpha_i) + sum_k -log F_k((gamma_k / t)-).
 
     H is non-decreasing, starts at H(0) = 0, and may equal +oo.
-    ``truncation_bound`` is the certified bound on the expected omitted
-    increment over [0, horizon].
+    ``truncation_bound`` is the certified bound on the expected increment
+    that the series omits over [0, horizon].
     """
 
     drift: float
@@ -346,6 +342,7 @@ class IdtPath:
     atoms: tuple[tuple[float, UnitMeanCdf], ...]
     horizon: float
     truncation_bound: float
+    stable: tuple[tuple[float, float], ...] = ()
 
     @cached_property
     def _arrivals(self):
@@ -360,7 +357,8 @@ class IdtPath:
     def _sweep(self, m: int) -> _PathSweep:
         families, gammas, comps, pin = self._arrivals
         return _PathSweep(self.drift, families, gammas, comps,
-                          np.zeros(gammas.size, dtype=int), [pin], m)
+                          np.zeros(gammas.size, dtype=int), [pin], m,
+                          [(alpha, [scale]) for alpha, scale in self.stable])
 
     def value(self, t: float) -> float:
         return float(self.values(np.asarray([t]))[0])
@@ -381,7 +379,9 @@ class IdtPath:
 
 class _Series:
     """What the rows of one batch share: the triplet, the tolerance and the
-    certification thresholds solved so far, one per effective horizon.
+    certification thresholds solved so far, one per effective horizon.  At
+    rate c w_i, a component with -log F = C x^(-1/alpha) sums to the stable
+    term (C / c_alpha) (c w_i t)^(1/alpha) S; the series holds the others.
 
     A row's series is certified over [0, horizon] once its last arrival
     reaches eff * median_max and the remainder bound
@@ -403,15 +403,46 @@ class _Series:
         self.intensity = triplet.c
         self.tol = tol
         self._thresholds = {}
-        self.weights, self.families = _mixture_arrays(triplet.mu)
-        self.median_max = max(float(F.quantile(0.5)) for F in self.families)
+        weights, families = _mixture_arrays(triplet.mu)
+        alphas = [F._power_law() for F in families]
+        rest = np.array([a is None for a in alphas])
+        self.alphas = np.array([a for a in alphas if a is not None], dtype=float)
+        # log((c w)^(1/alpha) C / c_alpha)
+        self.shifts = np.array([
+            math.log(self.intensity * w) / a + math.log(
+                -float(F.log_cdf(1.0)) / math.gamma(1.0 - a) ** (-1.0 / a))
+            for w, F, a in zip(weights, families, alphas) if a is not None])
+        # the weights sum to 1 only within 1e-12: unchanged unless a term splits off
+        share = 1.0 if rest.all() else weights[rest].sum()
+        self.intensity *= share
+        self.weights = weights[rest] / share
+        self.families = [F for F, a in zip(families, alphas) if a is None]
+        self.median_max = max([0.0] + [float(F.quantile(0.5)) for F in self.families])
         self.lowers = np.array([F.support_lower() for F in self.families])
-        self.upper = max(F.support_upper() for F in self.families)
+        # with no family left every cut of the series is exact
+        self.upper = max([0.0] + [F.support_upper() for F in self.families])
+
+    def scales(self, m: int, rng) -> list:
+        """(alpha, log s of m rows) per term, log s - shift = log S with S =
+        (A(U) / E)^((1 - alpha) / alpha) of Laplace transform exp(-lambda^alpha)
+        (Kanter 1975; Zolotarev's A, U uniform on (0, pi), E unit exponential
+        from the children of rng keyed 0 and 1: a row needs no later rows)."""
+        a = self.alphas
+        # in (0, pi]; the float pi is below pi
+        u = np.pi * (1.0 - _child(rng, 0).random((m, a.size)))
+        e = _child(rng, 1).exponential(size=(m, a.size))
+        # (1 - a) log A(u), then log S
+        w = (a * np.log(np.sin(a * u)) + (1.0 - a) * np.log(np.sin((1.0 - a) * u))
+             - np.log(np.sin(u)))
+        log_s = (w - (1.0 - a) * np.log(e)) / a + self.shifts
+        return list(zip(a.tolist(), log_s.T))
 
     def bound(self, eff, last):
-        """Expected omitted increment over [0, eff] after arrivals up to ``last``."""
-        return (2.0 * self.intensity * eff
-                * _mixture_tail(self.weights, self.families, last / eff))
+        """Expected omitted increment over [0, eff] after arrivals up to
+        ``last``: 2 c eff sum_i w_i int_(last / eff)^oo (1 - F_i) du."""
+        tail = sum(w * np.asarray(F.tail_integral(last / eff))
+                   for w, F in zip(self.weights, self.families))
+        return 2.0 * self.intensity * eff * tail
 
     def certified(self, last, pin, horizon) -> np.ndarray:
         """Whether a series cut after an arrival at ``last``, with pin time
@@ -499,6 +530,7 @@ class _Rows:
         m = len(horizons)
         self.series = series
         self.rng = rng
+        self.stable = series.scales(m, rng) if series.alphas.size else []
         self.round = 0
         self.horizon = np.array(horizons, dtype=float)
         self.count = np.zeros(m, dtype=np.int64)
@@ -611,7 +643,8 @@ class _Rows:
         kept, local = self._kept_arrivals(rows)
         _, pin = self._ends(rows, self.kept[rows])
         return _PathSweep(self.series.drift, self.series.families,
-                          kept["gamma"], kept["comp"], local, pin, m)
+                          kept["gamma"], kept["comp"], local, pin, m,
+                          [(alpha, scales[rows]) for alpha, scales in self.stable])
 
     def path(self, row: int) -> IdtPath:
         """The kept path of one row."""
@@ -621,7 +654,8 @@ class _Rows:
         families = [series.families[c] for c in kept["comp"]]
         return IdtPath(series.drift, series.intensity,
                        tuple(zip(kept["gamma"].tolist(), families)), horizon,
-                       float(series.bound(min(horizon, pin), last)))
+                       float(series.bound(min(horizon, pin), last)),
+                       tuple((a, float(s[row])) for a, s in self.stable))
 
 
 def sample_idt_path(triplet: IdtTriplet, horizon: float, rng,
@@ -661,19 +695,10 @@ def sample_conditional_iid_batch(triplet: IdtTriplet, d: int, n: int, rng,
                                  tol: float = 1e-3) -> np.ndarray:
     """n first-passage vectors, shape (n, d).  See sample_conditional_iid.
 
-    Routes, chosen from the triplet:
-
-    * pure drift (c = 0): iid unit exponentials;
-    * a single Frechet family: exact, H_t = b t + (c t)^(1/alpha) S with S
-      positive alpha-stable drawn by Kanter's representation; ``tol`` is
-      not used;
-    * anything else: blocks of _PASSAGE_BLOCK rows, each with its own child
-      generator, double each row's horizon from 1 until its certified path
-      exceeds its levels; then every coordinate of the block is bisected at
-      once on the rows' final paths.
-
-    Outputs are deterministic given the generator; off the Frechet route,
-    row i does not depend on n.
+    Pure drift (c = 0) gives iid unit exponentials; every other triplet runs
+    the block engine _first_passage.  ``tol`` bounds only the series of the
+    families that are not Frechet-type.  Outputs are deterministic given the
+    generator, and row i does not depend on n.
     """
     d, n = int(d), int(n)
     if d < 1:
@@ -686,30 +711,38 @@ def sample_conditional_iid_batch(triplet: IdtTriplet, d: int, n: int, rng,
         raise ValueError("first-passage sampling requires b + c = 1")
     if triplet.c == 0.0:
         return rng.exponential(size=(n, d))
+    return _first_passage(_Series(triplet, tol), d, n, rng)
 
-    components = triplet.mu.components
-    if len(components) == 1 and isinstance(components[0][1], Frechet):
-        return _passage_frechet(triplet.b, triplet.c, components[0][1], d, n,
-                                rng)
 
-    series = _Series(triplet, tol)
+def _first_passage(series: _Series, d: int, n: int, rng) -> np.ndarray:
+    """n rows of d first passages, in blocks of _PASSAGE_BLOCK rows, each with
+    its own child generator.  No term of H reaches eta before H does, so the
+    bisection's top is the least of each stable term's passage (eta / s)^alpha
+    and the row's horizon (eta / drift with no series): exact for one term."""
     out = np.empty((n, d))
     starts = range(0, n, _PASSAGE_BLOCK)
     for start, block_rng in zip(starts, rng.spawn(len(starts))):
         m = min(_PASSAGE_BLOCK, n - start)
         rows, etas = _passage_rows(series, d, m, block_rng)
-        out[start:start + m] = _bisect(
-            rows.sweep(np.arange(m), d).at, etas.ravel(),
-            np.repeat(rows.horizon, d)).reshape(m, d)
+        sweep = rows.sweep(np.arange(m), d)
+        eta = etas.ravel()
+        with np.errstate(divide="ignore"):
+            t_hi = (np.repeat(rows.horizon, d) if series.families
+                    else eta / series.drift)
+            for alpha, scales in sweep.stable:
+                t_hi = np.minimum(t_hi, np.exp(alpha * (np.log(eta) - scales)))
+        if series.families or series.drift or len(sweep.stable) > 1:
+            t_hi = _bisect(sweep.at, eta, t_hi)
+        out[start:start + m] = t_hi.reshape(m, d)
     return out
 
 
 def _passage_rows(series: _Series, d: int, m: int, rng):
-    """(rows, levels): m rows of d levels drawn from rng, and their series,
-    each certified over a horizon 2^j at which its path exceeds its levels."""
+    """(rows, levels): m rows of d levels drawn from rng, and their paths,
+    certified over a horizon 2^j above the levels (1, unused, if no series)."""
     etas = rng.exponential(size=(m, d))
     rows = _Rows(series, np.ones(m), rng)
-    pending = np.ones(m, dtype=bool)
+    pending = np.full(m, bool(series.families))
     while np.any(pending):
         drawing = np.flatnonzero(pending & ~rows.certified)
         if drawing.size:
@@ -724,37 +757,3 @@ def _passage_rows(series: _Series, d: int, m: int, rng):
             rows.check(again)
         rows.round += 1
     return rows, etas
-
-
-def _passage_frechet(drift, intensity, F: Frechet, d, n, rng) -> np.ndarray:
-    """Exact first passage for a single Frechet family.
-
-    -log F(x) = c_F x^(-1/alpha), so the jumps add up to
-    t^(1/alpha) c_F sum_k gamma_k^(-1/alpha), and with the gammas arriving
-    at rate ``intensity`` the path is H_t = drift t + (intensity t)^(1/alpha) S
-    where S = c_F sum_k E_k^(-1/alpha) over a unit-rate Poisson process is
-    positive alpha-stable with Laplace transform exp(-lambda^alpha)
-    (c_F^alpha = 1/Gamma(1 - alpha)).  S is drawn by Kanter's (1975)
-    representation S = (A(U) / E)^((1 - alpha) / alpha) with U uniform on
-    (0, pi), E unit exponential and Zolotarev's function A.
-    """
-    a = F.alpha
-    etas = rng.exponential(size=(n, d))
-    u = np.pi * (1.0 - rng.random(n))  # in (0, pi]; the float pi is below pi
-    e = rng.exponential(size=n)
-    # (1 - a) log A(u), then log S
-    w = (a * np.log(np.sin(a * u)) + (1.0 - a) * np.log(np.sin((1.0 - a) * u))
-         - np.log(np.sin(u)))
-    log_s = (w - (1.0 - a) * np.log(e)) / a
-    # without drift, (intensity t)^(1/a) S = eta at t = (eta / S)^a / intensity
-    with np.errstate(divide="ignore"):
-        jump_only = np.exp(a * (np.log(etas) - log_s[:, None])) / intensity
-    if drift == 0.0:
-        return jump_only
-
-    def evaluate(ts, ids):
-        return drift * ts + np.exp(np.log(intensity * ts) / a + log_s[ids // d])
-
-    # each increasing term alone reaches eta no earlier than the sum does
-    t_hi = np.minimum(etas / drift, jump_only)
-    return _bisect(evaluate, etas.ravel(), t_hi.ravel()).reshape(n, d)

@@ -230,6 +230,27 @@ def test_discrete_log_cdf_keeps_a_tiny_top_weight():
     assert abs(math.log(float(F.cdf(low))) / math.log1p(-top_weight) - 1.0) > 1e-6
 
 
+def test_discrete_cdf_is_exact_at_a_light_bottom_atom():
+    # exp(log F) was up to 16 eps off at cum near 1e-15; the oracle's float
+    # log F rounds those digits away, so F itself is summed at 50 digits too
+    import mpmath
+
+    eps = np.finfo(float).eps
+    for bottom in np.geomspace(1e-16, 1e-13, 16):
+        F = Discrete([(0.5, bottom), ((1.0 - 0.5 * bottom) / (1.0 - bottom),
+                                      1.0 - bottom)])
+        low, top = F.values
+        with mpmath.workdps(50):
+            w = [mpmath.mpf(float(v)) for v in F.weights]
+            exact = float(w[0] / mpmath.fsum(w))
+        for x, left in ((low, False), (0.5 * (low + top), False), (top, True)):
+            assert F.cdf(x, left=left) == pytest.approx(exact, rel=eps, abs=0.0)
+            assert math.log(F.cdf(x, left=left)) == pytest.approx(
+                exact_log_cdf(F, x, left), rel=eps, abs=0.0)
+        assert F.cdf(low, left=True) == 0.0 and F.cdf(top) == 1.0
+        assert np.array_equal(F.cdf(np.array([low, top])), F.cum)
+
+
 def test_discrete_with_a_light_bottom_atom_builds_without_a_warning():
     # the mass above the first atom rounds past 1; log1p of minus it was
     # nan, though only log(cum) is kept there

@@ -18,6 +18,7 @@ from maxstable import (
     MixingMeasure,
     PickandsSample,
     ResourceError,
+    Tilted,
     TwoPoint,
     UnitExponential,
     sample_conditional_iid,
@@ -96,7 +97,7 @@ def test_minstable_multi_component_mixture():
 
 def test_thinned_path_matches_block_path():
     # a two-component mixture of identical Frechet components is the same
-    # model but runs through extremal functions, not the stable frailty
+    # model but sums two stable terms by bisection, not one in closed form
     rng = np.random.default_rng(6)
     F = Frechet(0.5)
     thin_model = point_model(F)
@@ -189,6 +190,19 @@ def test_minstable_property(components, b, d, n, seed):
     assert np.all(np.isfinite(y)) and np.all(y > 0.0)
     again = sample_minstable_batch(model, d, n, np.random.default_rng(seed))
     assert np.array_equal(y, again)
+
+
+def test_sampler_budget_errors_report_rows_in_the_message(monkeypatch):
+    # achieved_bound is a truncation bound, which these samplers do not have
+    model = point_model(TwoPoint(LN2))
+    monkeypatch.setattr(samplers, "MAX_ARRIVALS", 1)
+    with pytest.raises(ResourceError, match="rows open") as err:
+        sample_minstable_batch(model, 3, 100, np.random.default_rng(0))
+    assert math.isnan(err.value.achieved_bound)
+    monkeypatch.setattr(samplers, "_PICKANDS_MAX_RESAMPLES", -1)
+    with pytest.raises(ResourceError, match="rows left") as err:
+        sample_pickands_batch(model, 3, 100, np.random.default_rng(0))
+    assert math.isnan(err.value.achieved_bound)
 
 
 def test_minstable_validation():
@@ -460,6 +474,48 @@ def test_conditional_iid_frechet_ignores_tol(mu):
     assert np.array_equal(y1, y2)
 
 
+FRECHET_TYPE_MIXTURES = [
+    IdtTriplet(0.0, 1.0, MixingMeasure([(0.5, Frechet(0.5)), (0.5, TwoPoint(2.0))])),
+    IdtTriplet(0.0, 1.0, MixingMeasure([(0.5, Frechet(0.9)), (0.5, Dirac1())])),
+    IdtTriplet(0.3, 0.7, MixingMeasure([(0.5, Tilted(Frechet(0.9), 0.5)),
+                                        (0.5, UnitExponential())])),
+    # as one series, the Frechet(0.95) tail needed ~1e54 arrivals
+    IdtTriplet(0.1, 0.9, MixingMeasure([(0.5, Frechet(0.95)),
+                                        (0.5, UnitExponential())])),
+]
+FRECHET_TYPE_IDS = ["frechet_two_point", "frechet_dirac1", "tilted_frechet_exponential",
+                    "frechet_095_exponential"]
+
+
+@pytest.mark.parametrize("d", [3, 10])
+@pytest.mark.parametrize("tr", FRECHET_TYPE_MIXTURES, ids=FRECHET_TYPE_IDS)
+def test_conditional_iid_frechet_type_components_are_stable_terms(tr, d):
+    # each Frechet-type component is an exact stable term beside the series
+    # of the others
+    n = 20_000
+    y = sample_conditional_iid_batch(tr, d, n, np.random.default_rng(55))
+    model = tr.to_canonical()
+    rng = np.random.default_rng(56)
+    for t in (np.full(d, 0.3), np.full(d, 1.0), rng.uniform(0.1, 2.0, d)):
+        assert abs(survival_z(y, t, model)) <= 4.0
+    se = 1.0 / math.sqrt(n)
+    assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
+
+
+@pytest.mark.parametrize("tr", FRECHET_TYPE_MIXTURES[:2], ids=FRECHET_TYPE_IDS[:2])
+def test_path_with_stable_terms_matches_stdf(tr):
+    # E exp(-sum_k H(t_k)) = P(Y > t) = exp(-l(t)) for b + c = 1
+    t = np.array([0.5, 1.0, 1.5])
+    vals = []
+    for seed in range(2_000):
+        path = sample_idt_path(tr, 1.5, np.random.default_rng(seed), 1e-5)
+        assert len(path.stable) == 1 and path.truncation_bound == 0.0
+        vals.append(math.exp(-path.values(t).sum()))
+    exact = math.exp(-stdf_canonical(tr.to_canonical(), t))
+    se = np.std(vals) / math.sqrt(len(vals))
+    assert abs(np.mean(vals) - exact) <= 4.0 * se
+
+
 def test_conditional_iid_mixture_with_pinned_paths():
     # the Discrete atom at 0.5 lies below the support, so paths pin to +oo
     # and the bisection sweep has to honour each row's pin time
@@ -482,8 +538,10 @@ def test_conditional_iid_mixture_with_pinned_paths():
     IdtTriplet(0.0, 1.0, MixingMeasure.point(Dirac1())),
     IdtTriplet(0.2, 0.8, MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
                                         (0.5, UnitExponential())])),
+    IdtTriplet(0.3, 0.7, MixingMeasure.point(Frechet(0.8))),
+    IdtTriplet(0.0, 1.0, MixingMeasure([(0.5, Frechet(0.5)), (0.5, TwoPoint(2.0))])),
 ], ids=["unit_exponential", "two_point", "two_point_drift", "dirac1",
-        "pinned_mixture"])
+        "pinned_mixture", "frechet_drift", "frechet_two_point"])
 def test_conditional_iid_rows_do_not_depend_on_n(tr, monkeypatch):
     # rows are drawn and bisected in blocks; a row's value must depend
     # neither on the rows after it in its block nor on the number of blocks
@@ -508,17 +566,10 @@ def test_path_stops_at_first_certifying_arrival(F):
 
 
 def test_path_uncertifiable_tail_raises_quickly():
-    # Frechet(0.95) tails would need ~1e54 arrivals, and horizons of 1e9
-    # about 1e9: refuse before drawing them
-    mu = MixingMeasure([(0.5, Frechet(0.95)), (0.5, UnitExponential())])
-    tr = IdtTriplet(0.1, 0.9, mu)
+    # horizons of 1e9 would need about 1e9 arrivals: refuse before drawing them
     two_point = IdtTriplet(0.0, 1.0, MixingMeasure.point(TwoPoint(0.7)))
     exponential = IdtTriplet(0.0, 1.0, MixingMeasure.point(UnitExponential()))
     start = time.perf_counter()
-    with pytest.raises(ResourceError):
-        sample_idt_path(tr, 1.0, np.random.default_rng(53))
-    with pytest.raises(ResourceError):
-        sample_conditional_iid_batch(tr, 2, 5, np.random.default_rng(53))
     for triplet in (two_point, exponential):
         for horizon in (1e9, 1e300):
             with pytest.raises(ResourceError):
@@ -532,10 +583,10 @@ def test_path_uncertifiable_tail_raises_quickly():
 def test_pinned_path_solves_threshold_per_pin_time(monkeypatch):
     # Dirac1 atoms pin the path; each pin time gets its own certification
     # threshold instead of an exact bound per arrival
-    mu = MixingMeasure([(0.5, Frechet(0.5)), (0.5, Dirac1())])
+    mu = MixingMeasure([(0.5, UnitExponential()), (0.5, Dirac1())])
     tr = IdtTriplet(0.1, 0.9, mu)
     calls = []
-    for cls in (Frechet, Dirac1):
+    for cls in (UnitExponential, Dirac1):
         orig = cls.tail_integral
 
         def counted(self, a, orig=orig):
