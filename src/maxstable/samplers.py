@@ -3,11 +3,15 @@
 All samplers take an explicit numpy Generator and are deterministic given
 it: its state, and the seed sequence that the path samplers spawn from.
 
-The minimum construction is exact: a mixture of Frechet-type families
-(-log F an exact power) is a first passage, any other runs by extremal
-functions.  Paths and first passage share one engine: the arrivals of a
-Frechet-type family add up exactly to a stable term s t^(1/alpha) drawn
-per row (Kanter 1975), those of the others stay a series.  Only that series
+The minimum construction is exact.  If every family of the mixture is
+Frechet-type (-log F an exact power) or has one positive atom, each part
+is drawn in closed form: the Frechet-type families together as a first
+passage, a one-atom family as gamma_J / (v w) with geometric J.  Any other
+mixture runs by extremal functions.
+
+Paths and first passage share one engine: the arrivals of a Frechet-type
+family add up exactly to a stable term s t^(1/alpha) drawn per row
+(Kanter 1975), those of the others stay a series.  Only that series
 is truncated, and only it takes ``tol``: it stops once the expected
 omitted increment over the requested horizon is below ``tol``, using the
 envelope -log F(u-) <= 2 (1 - F(u-)) valid above the median; families with
@@ -97,8 +101,11 @@ def sample_minstable_batch(model: CanonicalModel, d: int, n: int,
     Y = min(E / b, Z / (1 - b)) with E iid unit exponentials and
     Z_k = min_j gamma_j / X_jk over a unit-rate Poisson process whose
     arrivals carry iid vectors X_j: a family drawn from mu, then d iid
-    values of it.  Z is the first passage of (0, 1, mu) if every family is
-    Frechet-type, else drawn by extremal functions.
+    values of it.  Thinned by family, the process splits into independent
+    ones of rate w_i, and Z is the minimum of their parts.  If every family
+    is Frechet-type or has one positive atom, the parts are drawn in closed
+    form (_closed_minimum_batch); else Z is drawn by extremal functions on
+    all of mu.
     """
     d, n = int(d), int(n)
     if d < 1:
@@ -107,16 +114,74 @@ def sample_minstable_batch(model: CanonicalModel, d: int, n: int,
         raise ValueError(f"n must be non-negative, got {n}")
     if model.b == 1.0:
         return rng.exponential(size=(n, d))
-    if all(F._power_law() is not None for _, F in model.mu):
-        # no series is left, so no tolerance applies
-        series = _Series(IdtTriplet(0.0, 1.0, model.mu), math.inf)
-        extremal = _first_passage(series, d, n, rng)
+    if all(F._power_law() is not None or _one_atom(F) for _, F in model.mu):
+        extremal = _closed_minimum_batch(model.mu, d, n, rng)
     else:
         extremal = _extremal_minimum_batch(model.mu, d, n, rng)
     if model.b == 0.0:
         return extremal
     independent = rng.exponential(size=(n, d))
     return np.minimum(independent / model.b, extremal / (1.0 - model.b))
+
+
+def _one_atom(F):
+    """(v, p) if F has exactly one positive atom v, of mass p; else None."""
+    atoms = F.atom_values()
+    if atoms is None:
+        return None
+    values, weights = atoms
+    positive = np.flatnonzero(values > 0.0)
+    if positive.size != 1:
+        return None
+    return float(values[positive[0]]), float(weights[positive[0]])
+
+
+def _closed_minimum_batch(mu: MixingMeasure, d: int, n: int,
+                          rng) -> np.ndarray:
+    """Exact Z for a mu of Frechet-type and one-atom families, in closed form.
+
+    The Frechet-type families, at total weight w_P, form a process of rate
+    w_P whose part is Z' / w_P, with Z' the first passage of (0, 1, mu_P)
+    and mu_P their renormalized mixture; no series is left, so no tolerance
+    applies.  A one-atom family (v, p) at weight w has the part
+    gamma_(J_k) / (v w) over unit-rate arrivals, J_k iid geometric(p): the
+    first of its arrivals whose k-th value is v.
+    """
+    power = [(w, F) for w, F in mu if F._power_law() is not None]
+    atoms = [(w, _one_atom(F)) for w, F in mu if F._power_law() is None]
+    minima = np.full((n, d), np.inf)
+    if power:
+        # mu itself if nothing else is in it, so that its weights keep their bits
+        part, share = mu, 1.0
+        if atoms:
+            share = math.fsum(w for w, _ in power)
+            part = MixingMeasure([(w / share, F) for w, F in power])
+        series = _Series(IdtTriplet(0.0, 1.0, part), math.inf)
+        minima = _first_passage(series, d, n, rng) / share
+    for w, (v, p) in atoms:
+        np.minimum(minima, _one_atom_minimum(p, d, n, rng) / (v * w), out=minima)
+    return minima
+
+
+def _one_atom_minimum(p: float, d: int, n: int, rng) -> np.ndarray:
+    """gamma_(J_k) over unit-rate arrivals gamma, J_k iid geometric(p), shape (n, d).
+
+    J = floor(E / -log(1 - p)) + 1 is drawn in floats, so it does not
+    saturate for tiny p (numpy's integer geometric does) and is 1 at p = 1.
+    gamma is drawn only at each row's sorted distinct J, by gamma gaps:
+    gamma_m' - gamma_m ~ Gamma(m' - m).
+    """
+    with np.errstate(divide="ignore"):
+        rate = -np.log1p(-p)
+    j = np.floor(rng.exponential(size=(n, d)) / rate) + 1.0
+    order = np.argsort(j, axis=1)
+    gaps = np.diff(np.take_along_axis(j, order, axis=1), axis=1, prepend=0.0)
+    steps = np.zeros_like(gaps)
+    new = gaps > 0.0
+    steps[new] = rng.standard_gamma(gaps[new])
+    out = np.empty_like(steps)
+    np.put_along_axis(out, order, np.cumsum(steps, axis=1), axis=1)
+    return out
 
 
 def _extremal_minimum_batch(mu: MixingMeasure, d: int, n: int,
@@ -129,12 +194,16 @@ def _extremal_minimum_batch(mu: MixingMeasure, d: int, n: int,
     (_pickands_raw).  Its candidate gamma * X_k / X is dropped if it
     undercuts some Z_j, j < k, because the walk over coordinate j has
     already met every arrival that lowers Z_j; otherwise it lowers Z.  A
-    row draws d vectors on average.
+    row draws d vectors on average.  The open rows' minima are kept
+    compacted, and a row is written back once it closes.
     """
     minima = np.full((n, d), np.inf)
     for k in range(d):
         gamma = rng.exponential(size=n)
         rows = np.nonzero(gamma < minima[:, k])[0]
+        # np.take and np.compress: several times faster than fancy indexing
+        # on rows of a 2-d array
+        g, current = gamma[rows], np.take(minima, rows, axis=0)
         arrivals = 0
         while rows.size:
             if arrivals >= MAX_ARRIVALS:
@@ -142,17 +211,19 @@ def _extremal_minimum_batch(mu: MixingMeasure, d: int, n: int,
                     f"minimum construction exceeded {MAX_ARRIVALS} arrivals "
                     f"in coordinate {k} with {rows.size} rows open")
             x = _pickands_raw(mu, d, rows.size, np.full(rows.size, k), rng)
-            g = gamma[rows]
             # a candidate past the float range is inf, which lowers nothing;
             # an infinite x_k makes inf / inf in column k, which is overwritten
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 candidate = (g * x[:, k])[:, None] / x
             candidate[:, k] = g
-            current = minima[rows]
             keep = ~np.any(candidate[:, :k] < current[:, :k], axis=1)
-            minima[rows[keep]] = np.minimum(current[keep], candidate[keep])
-            gamma[rows] = g + rng.exponential(size=rows.size)
-            rows = rows[gamma[rows] < minima[rows, k]]
+            np.minimum(current, candidate, out=current, where=keep[:, None])
+            g += rng.exponential(size=rows.size)
+            still = g < current[:, k]
+            if not still.all():
+                minima[rows[~still]] = np.compress(~still, current, axis=0)
+                rows, g = rows[still], g[still]
+                current = np.compress(still, current, axis=0)
             arrivals += 1
     return minima
 
@@ -723,8 +794,15 @@ def _first_passage(series: _Series, d: int, n: int, rng) -> np.ndarray:
     starts = range(0, n, _PASSAGE_BLOCK)
     for start, block_rng in zip(starts, rng.spawn(len(starts))):
         m = min(_PASSAGE_BLOCK, n - start)
-        rows, etas = _passage_rows(series, d, m, block_rng)
-        sweep = rows.sweep(np.arange(m), d)
+        if series.families:
+            rows, etas = _passage_rows(series, d, m, block_rng)
+            sweep = rows.sweep(np.arange(m), d)
+        else:
+            # the stable terms alone: no arrivals to draw, certify or sweep
+            etas = block_rng.exponential(size=(m, d))
+            empty = np.empty(0, dtype=np.int64)
+            sweep = _PathSweep(series.drift, [], empty, empty, empty,
+                               np.full(m, np.inf), d, series.scales(m, block_rng))
         eta = etas.ravel()
         with np.errstate(divide="ignore"):
             t_hi = (np.repeat(rows.horizon, d) if series.families
@@ -739,10 +817,10 @@ def _first_passage(series: _Series, d: int, n: int, rng) -> np.ndarray:
 
 def _passage_rows(series: _Series, d: int, m: int, rng):
     """(rows, levels): m rows of d levels drawn from rng, and their paths,
-    certified over a horizon 2^j above the levels (1, unused, if no series)."""
+    certified over a horizon 2^j above the levels."""
     etas = rng.exponential(size=(m, d))
     rows = _Rows(series, np.ones(m), rng)
-    pending = np.full(m, bool(series.families))
+    pending = np.ones(m, dtype=bool)
     while np.any(pending):
         drawing = np.flatnonzero(pending & ~rows.certified)
         if drawing.size:

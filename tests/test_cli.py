@@ -230,6 +230,20 @@ def test_verify_workers_invariant(spec_dir):
     assert outs[0] == outs[1]
 
 
+def test_verify_closed_minimum_workers_invariant():
+    # the Frechet part and the two-point part of the heavy mixture are drawn
+    # in closed form, chunk by chunk from the chunks' own generators
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "specs",
+                        "heavy_mixture.json")
+    outs = []
+    for w in ("1", "4"):
+        code, out = run_cli(["verify", "--spec", path, "--t", "1,1,1",
+                             "--n", "20000", "--seed", "1", "--workers", w])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_path_exact_grid(spec_dir):
     path = spec_dir(
         {"b": 0.5, "c": 0.5, "mu": [{"family": "two_point", "theta": LN2}]},

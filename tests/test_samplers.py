@@ -15,6 +15,7 @@ from maxstable import (
     Discrete,
     Frechet,
     IdtTriplet,
+    LevySpec,
     MixingMeasure,
     PickandsSample,
     ResourceError,
@@ -163,6 +164,85 @@ def test_minstable_heavy_mixture_battery(mu, d):
     assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
 
 
+def _levy_mu():
+    # jumps 1e-3, 0.1 and 1, each a third of the jump intensity
+    spec = LevySpec(0.0, [(theta, 1.0 / (-3.0 * math.expm1(-theta)))
+                          for theta in (1e-3, 0.1, 1.0)])
+    return spec.to_canonical().mu
+
+
+closed_minimum_cases = [
+    *[(f"TwoPoint({theta:g})", MixingMeasure.point(TwoPoint(theta)), 3)
+      for theta in (1e-300, 1e-12, 1e-3, 0.7, 2.0)],
+    ("Dirac1", MixingMeasure.point(Dirac1()), 3),
+    # a direct Tilted wrapper: tilt() would collapse it to TwoPoint(1.5)
+    ("Tilted", MixingMeasure.point(Tilted(TwoPoint(0.5), 3.0)), 3),
+    ("heavy", MixingMeasure([(0.5, Frechet(0.5)), (0.5, TwoPoint(2.0))]), 3),
+    ("heavy", MixingMeasure([(0.5, Frechet(0.5)), (0.5, TwoPoint(2.0))]), 10),
+    ("levy", _levy_mu(), 3),
+]
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3])
+@pytest.mark.parametrize("name, mu, d", closed_minimum_cases,
+                         ids=[f"{c[0]}-d{c[2]}" for c in closed_minimum_cases])
+def test_minstable_closed_parts(name, mu, d, b, monkeypatch):
+    # power-law and one-atom families draw their parts in closed form: no
+    # spectral vector is drawn, and a geometric index does not saturate
+    # where p is tiny (TwoPoint(1e-300) has p = 1e-300)
+    monkeypatch.setattr(samplers, "_pickands_raw", None)
+    model = CanonicalModel(b, mu)
+    n = 20_000
+    y = sample_minstable_batch(model, d, n, np.random.default_rng(13))
+    assert np.all(np.isfinite(y)) and np.all(y > 0.0)
+    for t in (np.full(d, 0.3), np.full(d, 1.0),
+              np.random.default_rng(14).uniform(0.1, 2.0, d)):
+        assert abs(survival_z(y, t, model)) <= 4.0
+    se = 1.0 / math.sqrt(n)
+    assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
+    if name == "Dirac1" and b == 0.0:
+        assert np.all(y == y[:, :1])
+
+
+@pytest.mark.parametrize("mu", [
+    MixingMeasure.point(TwoPoint(0.7)),
+    MixingMeasure([(0.5, Frechet(0.5)), (0.5, TwoPoint(2.0))]),
+    MixingMeasure([(0.25, Frechet(0.5)), (0.25, Dirac1()), (0.5, TwoPoint(0.7))]),
+])
+def test_minstable_closed_parts_edge_sizes(mu):
+    model = CanonicalModel(0.0, mu)
+    assert sample_minstable_batch(model, 4, 0, np.random.default_rng(0)).shape == (0, 4)
+    n = 20_000
+    y = sample_minstable_batch(model, 1, n, np.random.default_rng(15))
+    assert y.shape == (n, 1)
+    assert abs(y.mean() - 1.0) <= 4.0 / math.sqrt(n)
+    assert abs(survival_z(y, [0.7], model)) <= 4.0
+
+
+@pytest.mark.parametrize("mu", [
+    MixingMeasure([(0.5, Frechet(0.5)), (0.5, UnitExponential())]),
+    MixingMeasure([(0.5, TwoPoint(2.0)), (0.5, tilt(UnitExponential(), 2.0))]),
+    MixingMeasure([(0.5, Dirac1()),
+                   (0.5, Discrete([(0.5, 0.5), (1.5, 0.5)]))]),
+])
+def test_minstable_any_other_family_walks_all_of_mu(mu, monkeypatch):
+    # a family with neither a power law nor one positive atom sends all of
+    # mu to extremal functions, which draw d spectral vectors a row
+    d, n = 3, 20_000
+    drawn = []
+    raw = samplers._pickands_raw
+
+    def counted(mu_, d_, m, picked, rng):
+        drawn.append(m)
+        return raw(mu_, d_, m, picked, rng)
+
+    monkeypatch.setattr(samplers, "_pickands_raw", counted)
+    model = CanonicalModel(0.0, mu)
+    y = sample_minstable_batch(model, d, n, np.random.default_rng(16))
+    assert abs(sum(drawn) / n - d) <= 0.05 * d
+    assert abs(survival_z(y, [1.0, 0.5, 2.0], model)) <= 4.0
+
+
 closed_form_families = st.one_of(
     st.just(Dirac1()),
     st.just(UnitExponential()),
@@ -193,12 +273,14 @@ def test_minstable_property(components, b, d, n, seed):
 
 
 def test_sampler_budget_errors_report_rows_in_the_message(monkeypatch):
-    # achieved_bound is a truncation bound, which these samplers do not have
-    model = point_model(TwoPoint(LN2))
+    # achieved_bound is a truncation bound, which these samplers do not have;
+    # the unit exponential walks arrivals, a two-point law would not
+    model = point_model(UnitExponential())
     monkeypatch.setattr(samplers, "MAX_ARRIVALS", 1)
     with pytest.raises(ResourceError, match="rows open") as err:
         sample_minstable_batch(model, 3, 100, np.random.default_rng(0))
     assert math.isnan(err.value.achieved_bound)
+    model = point_model(TwoPoint(LN2))
     monkeypatch.setattr(samplers, "_PICKANDS_MAX_RESAMPLES", -1)
     with pytest.raises(ResourceError, match="rows left") as err:
         sample_pickands_batch(model, 3, 100, np.random.default_rng(0))
