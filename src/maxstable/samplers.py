@@ -3,11 +3,10 @@
 All samplers take an explicit numpy Generator and are deterministic given
 it: its state, and the seed sequence that the path samplers spawn from.
 
-The minimum construction is exact.  If every family of the mixture is
-Frechet-type (-log F an exact power) or has one positive atom, each part
-is drawn in closed form: the Frechet-type families together as a first
-passage, a one-atom family as gamma_J / (v w) with geometric J.  Any other
-mixture runs by extremal functions.
+The minimum construction is exact.  Each family of the mixture draws its
+own part: a Frechet-type family (-log F an exact power) as the passage of
+one stable term, a one-atom family in closed form; the others are walked
+together by extremal functions, starting from the minima of those parts.
 
 Paths and first passage share one engine: the arrivals of a Frechet-type
 family add up exactly to a stable term s t^(1/alpha) drawn per row
@@ -100,12 +99,16 @@ def sample_minstable_batch(model: CanonicalModel, d: int, n: int,
 
     Y = min(E / b, Z / (1 - b)) with E iid unit exponentials and
     Z_k = min_j gamma_j / X_jk over a unit-rate Poisson process whose
-    arrivals carry iid vectors X_j: a family drawn from mu, then d iid
-    values of it.  Thinned by family, the process splits into independent
-    ones of rate w_i, and Z is the minimum of their parts.  If every family
-    is Frechet-type or has one positive atom, the parts are drawn in closed
-    form (_closed_minimum_batch); else Z is drawn by extremal functions on
-    all of mu.
+    arrivals carry a family drawn from mu and d iid values of it.  Thinned
+    by family, it splits into independent processes of rate w_i, and Z is
+    the minimum of their parts, drawn in mixture order: (eta_k / s)^alpha
+    if -log F = C x^(-1/alpha), whose arrivals add up to s t^(1/alpha) with
+    log s = log S + log(w) / alpha + log(C / c_alpha); gamma_(J_k) / (v w),
+    J_k iid geometric(p), for one atom v of mass p.  The other families,
+    of total weight w_R, are walked as one process of rate w_R from the
+    minima of those parts (mu itself at rate 1 if nothing else is in it).
+    That is exact: the parts are independent, and a walk that starts lower
+    only stops sooner.
     """
     d, n = int(d), int(n)
     if d < 1:
@@ -114,53 +117,59 @@ def sample_minstable_batch(model: CanonicalModel, d: int, n: int,
         raise ValueError(f"n must be non-negative, got {n}")
     if model.b == 1.0:
         return rng.exponential(size=(n, d))
-    if all(F._power_law() is not None or _one_atom(F) for _, F in model.mu):
-        extremal = _closed_minimum_batch(model.mu, d, n, rng)
-    else:
-        extremal = _extremal_minimum_batch(model.mu, d, n, rng)
+    extremal = np.full((n, d), np.inf)
+    walked = []
+    for w, F in model.mu:
+        alpha = F._power_law()
+        if alpha is not None:
+            log_s = _log_stable(alpha, np.pi * (1.0 - rng.random(n)),
+                                rng.exponential(size=n))[:, None]
+            part = np.exp(alpha * (np.log(rng.exponential(size=(n, d)))
+                                   - log_s - _stable_shift(w, F, alpha)))
+        elif (atom := _one_atom(F)) is not None:
+            v, p = atom
+            part = _one_atom_minimum(p, d, n, rng) / (v * w)
+        else:
+            walked.append((w, F))
+            continue
+        np.minimum(extremal, part, out=extremal)
+    if len(walked) == len(model.mu.components):
+        _extremal_minimum(model.mu, extremal, 1.0, rng)
+    elif walked:
+        rate = math.fsum(w for w, _ in walked)
+        _extremal_minimum(MixingMeasure([(w / rate, F) for w, F in walked]),
+                          extremal, rate, rng)
     if model.b == 0.0:
         return extremal
     independent = rng.exponential(size=(n, d))
-    return np.minimum(independent / model.b, extremal / (1.0 - model.b))
+    # E / b past the float range for a subnormal b is inf, which never wins
+    with np.errstate(over="ignore"):
+        return np.minimum(independent / model.b, extremal / (1.0 - model.b))
+
+
+def _log_stable(a, u, e):
+    """log S, S positive a-stable of Laplace transform exp(-lambda^a), from u
+    uniform on (0, pi] and e unit exponential (Kanter 1975)."""
+    # (1 - a) log A(u)
+    w = (a * np.log(np.sin(a * u)) + (1.0 - a) * np.log(np.sin((1.0 - a) * u))
+         - np.log(np.sin(u)))
+    return (w - (1.0 - a) * np.log(e)) / a
+
+
+def _stable_shift(rate: float, F, alpha: float) -> float:
+    """log(rate^(1/alpha) C / c_alpha), C = -log F(1), c_alpha = Gamma(1 -
+    alpha)^(-1/alpha): at ``rate``, F's arrivals sum to e^shift S t^(1/alpha)."""
+    return math.log(rate) / alpha + math.log(
+        -float(F.log_cdf(1.0)) / math.gamma(1.0 - alpha) ** (-1.0 / alpha))
 
 
 def _one_atom(F):
     """(v, p) if F has exactly one positive atom v, of mass p; else None."""
-    atoms = F.atom_values()
-    if atoms is None:
-        return None
-    values, weights = atoms
+    values, weights = F.atom_values() or (np.empty(0), None)
     positive = np.flatnonzero(values > 0.0)
     if positive.size != 1:
         return None
     return float(values[positive[0]]), float(weights[positive[0]])
-
-
-def _closed_minimum_batch(mu: MixingMeasure, d: int, n: int,
-                          rng) -> np.ndarray:
-    """Exact Z for a mu of Frechet-type and one-atom families, in closed form.
-
-    The Frechet-type families, at total weight w_P, form a process of rate
-    w_P whose part is Z' / w_P, with Z' the first passage of (0, 1, mu_P)
-    and mu_P their renormalized mixture; no series is left, so no tolerance
-    applies.  A one-atom family (v, p) at weight w has the part
-    gamma_(J_k) / (v w) over unit-rate arrivals, J_k iid geometric(p): the
-    first of its arrivals whose k-th value is v.
-    """
-    power = [(w, F) for w, F in mu if F._power_law() is not None]
-    atoms = [(w, _one_atom(F)) for w, F in mu if F._power_law() is None]
-    minima = np.full((n, d), np.inf)
-    if power:
-        # mu itself if nothing else is in it, so that its weights keep their bits
-        part, share = mu, 1.0
-        if atoms:
-            share = math.fsum(w for w, _ in power)
-            part = MixingMeasure([(w / share, F) for w, F in power])
-        series = _Series(IdtTriplet(0.0, 1.0, part), math.inf)
-        minima = _first_passage(series, d, n, rng) / share
-    for w, (v, p) in atoms:
-        np.minimum(minima, _one_atom_minimum(p, d, n, rng) / (v * w), out=minima)
-    return minima
 
 
 def _one_atom_minimum(p: float, d: int, n: int, rng) -> np.ndarray:
@@ -184,22 +193,24 @@ def _one_atom_minimum(p: float, d: int, n: int, rng) -> np.ndarray:
     return out
 
 
-def _extremal_minimum_batch(mu: MixingMeasure, d: int, n: int,
-                            rng) -> np.ndarray:
-    """Exact Z by extremal functions (Dombry, Engelke & Oesting 2016).
+def _extremal_minimum(mu: MixingMeasure, minima: np.ndarray, rate: float,
+                      rng) -> None:
+    """Lower ``minima`` in place by the arrivals of an independent process of
+    rate ``rate`` whose families are drawn from mu, walked by extremal
+    functions (Dombry, Engelke & Oesting 2016); exact.
 
     For each coordinate k the arrivals gamma < Z_k are walked in order.
     Each carries a vector X from the k-th extremal-function law: the family
     drawn from mu, slot k size-biased and the other slots iid
     (_pickands_raw).  Its candidate gamma * X_k / X is dropped if it
     undercuts some Z_j, j < k, because the walk over coordinate j has
-    already met every arrival that lowers Z_j; otherwise it lowers Z.  A
-    row draws d vectors on average.  The open rows' minima are kept
-    compacted, and a row is written back once it closes.
+    already met every arrival that lowers Z_j; otherwise it lowers Z.  From
+    infinite minima a row draws d vectors on average.  The open rows'
+    minima are kept compacted, and a row is written back once it closes.
     """
-    minima = np.full((n, d), np.inf)
+    n, d = minima.shape
     for k in range(d):
-        gamma = rng.exponential(size=n)
+        gamma = rng.exponential(size=n) / rate
         rows = np.nonzero(gamma < minima[:, k])[0]
         # np.take and np.compress: several times faster than fancy indexing
         # on rows of a 2-d array
@@ -218,14 +229,13 @@ def _extremal_minimum_batch(mu: MixingMeasure, d: int, n: int,
             candidate[:, k] = g
             keep = ~np.any(candidate[:, :k] < current[:, :k], axis=1)
             np.minimum(current, candidate, out=current, where=keep[:, None])
-            g += rng.exponential(size=rows.size)
+            g += rng.exponential(size=rows.size) / rate
             still = g < current[:, k]
             if not still.all():
                 minima[rows[~still]] = np.compress(~still, current, axis=0)
                 rows, g = rows[still], g[still]
                 current = np.compress(still, current, axis=0)
             arrivals += 1
-    return minima
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +296,21 @@ def sample_pickands_batch(model: CanonicalModel, d: int, n: int, rng):
 
 
 def _pickands_raw(mu: MixingMeasure, d, m, picked, rng):
+    """m rows of a family drawn from mu: slot ``picked`` size-biased, the
+    others iid.  A family drawn by every row takes them without selection."""
     weights, families = _mixture_arrays(mu)
-    if len(families) == 1:
-        comp = np.zeros(m, dtype=int)
-    else:
-        comp = np.searchsorted(np.cumsum(weights), rng.random(m), side="left")
-    out = np.empty((m, d))
-    biased = np.empty(m)
+    comp = (np.zeros(m, dtype=int) if len(families) == 1 else
+            np.searchsorted(np.cumsum(weights), rng.random(m), side="left"))
+    out, biased = np.empty((m, d)), np.empty(m)
     u = rng.random((m, d))
     for ci, F in enumerate(families):
-        mask = comp == ci
-        if np.any(mask):
-            out[mask] = F.quantile(u[mask])
-            biased[mask] = F.sample_size_biased(rng, size=int(mask.sum()))
+        rows = np.flatnonzero(comp == ci)
+        if rows.size == m:
+            out = np.asarray(F.quantile(u), dtype=float)
+            biased = F.sample_size_biased(rng, size=m)
+        elif rows.size:
+            out[rows] = F.quantile(np.take(u, rows, axis=0))
+            biased[rows] = F.sample_size_biased(rng, size=rows.size)
     out[np.arange(m), picked] = biased
     return out
 
@@ -478,10 +490,8 @@ class _Series:
         alphas = [F._power_law() for F in families]
         rest = np.array([a is None for a in alphas])
         self.alphas = np.array([a for a in alphas if a is not None], dtype=float)
-        # log((c w)^(1/alpha) C / c_alpha)
         self.shifts = np.array([
-            math.log(self.intensity * w) / a + math.log(
-                -float(F.log_cdf(1.0)) / math.gamma(1.0 - a) ** (-1.0 / a))
+            _stable_shift(self.intensity * w, F, a)
             for w, F, a in zip(weights, families, alphas) if a is not None])
         # the weights sum to 1 only within 1e-12: unchanged unless a term splits off
         share = 1.0 if rest.all() else weights[rest].sum()
@@ -494,18 +504,14 @@ class _Series:
         self.upper = max([0.0] + [F.support_upper() for F in self.families])
 
     def scales(self, m: int, rng) -> list:
-        """(alpha, log s of m rows) per term, log s - shift = log S with S =
-        (A(U) / E)^((1 - alpha) / alpha) of Laplace transform exp(-lambda^alpha)
-        (Kanter 1975; Zolotarev's A, U uniform on (0, pi), E unit exponential
-        from the children of rng keyed 0 and 1: a row needs no later rows)."""
+        """(alpha, log s of m rows) per term, log s - shift = log S with S
+        positive alpha-stable (_log_stable), U and E from the children of
+        rng keyed 0 and 1: a row needs no later rows."""
         a = self.alphas
         # in (0, pi]; the float pi is below pi
         u = np.pi * (1.0 - _child(rng, 0).random((m, a.size)))
         e = _child(rng, 1).exponential(size=(m, a.size))
-        # (1 - a) log A(u), then log S
-        w = (a * np.log(np.sin(a * u)) + (1.0 - a) * np.log(np.sin((1.0 - a) * u))
-             - np.log(np.sin(u)))
-        log_s = (w - (1.0 - a) * np.log(e)) / a + self.shifts
+        log_s = _log_stable(a, u, e) + self.shifts
         return list(zip(a.tolist(), log_s.T))
 
     def bound(self, eff, last):
@@ -794,15 +800,8 @@ def _first_passage(series: _Series, d: int, n: int, rng) -> np.ndarray:
     starts = range(0, n, _PASSAGE_BLOCK)
     for start, block_rng in zip(starts, rng.spawn(len(starts))):
         m = min(_PASSAGE_BLOCK, n - start)
-        if series.families:
-            rows, etas = _passage_rows(series, d, m, block_rng)
-            sweep = rows.sweep(np.arange(m), d)
-        else:
-            # the stable terms alone: no arrivals to draw, certify or sweep
-            etas = block_rng.exponential(size=(m, d))
-            empty = np.empty(0, dtype=np.int64)
-            sweep = _PathSweep(series.drift, [], empty, empty, empty,
-                               np.full(m, np.inf), d, series.scales(m, block_rng))
+        rows, etas = _passage_rows(series, d, m, block_rng)
+        sweep = rows.sweep(np.arange(m), d)
         eta = etas.ravel()
         with np.errstate(divide="ignore"):
             t_hi = (np.repeat(rows.horizon, d) if series.families
@@ -817,10 +816,10 @@ def _first_passage(series: _Series, d: int, n: int, rng) -> np.ndarray:
 
 def _passage_rows(series: _Series, d: int, m: int, rng):
     """(rows, levels): m rows of d levels drawn from rng, and their paths,
-    certified over a horizon 2^j above the levels."""
+    certified over a horizon 2^j above the levels (1, unused, if no series)."""
     etas = rng.exponential(size=(m, d))
     rows = _Rows(series, np.ones(m), rng)
-    pending = np.ones(m, dtype=bool)
+    pending = np.full(m, bool(series.families))
     while np.any(pending):
         drawing = np.flatnonzero(pending & ~rows.certified)
         if drawing.size:

@@ -98,7 +98,7 @@ def test_minstable_multi_component_mixture():
 
 def test_thinned_path_matches_block_path():
     # a two-component mixture of identical Frechet components is the same
-    # model but sums two stable terms by bisection, not one in closed form
+    # model, drawn as the minimum of two independent stable parts, not one
     rng = np.random.default_rng(6)
     F = Frechet(0.5)
     thin_model = point_model(F)
@@ -180,6 +180,9 @@ closed_minimum_cases = [
     ("heavy", MixingMeasure([(0.5, Frechet(0.5)), (0.5, TwoPoint(2.0))]), 3),
     ("heavy", MixingMeasure([(0.5, Frechet(0.5)), (0.5, TwoPoint(2.0))]), 10),
     ("levy", _levy_mu(), 3),
+    ("two-stable", MixingMeasure([(0.5, Frechet(0.5)), (0.5, Frechet(0.8))]), 3),
+    # a direct Tilted wrapper: C = -log F(1) is its z c psi^(-1/alpha)
+    ("Tilted-Frechet", MixingMeasure.point(Tilted(Frechet(0.7), 2.0)), 3),
 ]
 
 
@@ -188,9 +191,10 @@ closed_minimum_cases = [
                          ids=[f"{c[0]}-d{c[2]}" for c in closed_minimum_cases])
 def test_minstable_closed_parts(name, mu, d, b, monkeypatch):
     # power-law and one-atom families draw their parts in closed form: no
-    # spectral vector is drawn, and a geometric index does not saturate
-    # where p is tiny (TwoPoint(1e-300) has p = 1e-300)
-    monkeypatch.setattr(samplers, "_pickands_raw", None)
+    # spectral vector is drawn, no first passage is run, and a geometric
+    # index does not saturate where p is tiny (TwoPoint(1e-300) has p = 1e-300)
+    for name_ in ("_pickands_raw", "_first_passage", "_Series"):
+        monkeypatch.setattr(samplers, name_, None)
     model = CanonicalModel(b, mu)
     n = 20_000
     y = sample_minstable_batch(model, d, n, np.random.default_rng(13))
@@ -219,15 +223,24 @@ def test_minstable_closed_parts_edge_sizes(mu):
     assert abs(survival_z(y, [0.7], model)) <= 4.0
 
 
-@pytest.mark.parametrize("mu", [
-    MixingMeasure([(0.5, Frechet(0.5)), (0.5, UnitExponential())]),
-    MixingMeasure([(0.5, TwoPoint(2.0)), (0.5, tilt(UnitExponential(), 2.0))]),
-    MixingMeasure([(0.5, Dirac1()),
-                   (0.5, Discrete([(0.5, 0.5), (1.5, 0.5)]))]),
-])
-def test_minstable_any_other_family_walks_all_of_mu(mu, monkeypatch):
-    # a family with neither a power law nor one positive atom sends all of
-    # mu to extremal functions, which draw d spectral vectors a row
+walked_cases = [
+    ("frechet+exp", MixingMeasure([(0.5, Frechet(0.5)), (0.5, UnitExponential())]), 0.5),
+    ("twopoint+tilted", MixingMeasure([(0.5, TwoPoint(2.0)),
+                                       (0.5, tilt(UnitExponential(), 2.0))]), 0.5),
+    ("dirac+discrete", MixingMeasure([(0.5, Dirac1()),
+                                      (0.5, Discrete([(0.5, 0.5), (1.5, 0.5)]))]), 0.5),
+    ("exp+tilted", MixingMeasure([(0.5, UnitExponential()),
+                                  (0.5, tilt(UnitExponential(), 2.0))]), 1.0),
+]
+
+
+@pytest.mark.parametrize("name, mu, walked", walked_cases,
+                         ids=[c[0] for c in walked_cases])
+def test_minstable_walks_only_families_without_closed_form(name, mu, walked,
+                                                           monkeypatch):
+    # extremal functions walk only the families with neither a power law nor
+    # one positive atom, at rate w_R = their total weight: d w_R spectral
+    # vectors a row, d when no family has a closed part
     d, n = 3, 20_000
     drawn = []
     raw = samplers._pickands_raw
@@ -239,14 +252,42 @@ def test_minstable_any_other_family_walks_all_of_mu(mu, monkeypatch):
     monkeypatch.setattr(samplers, "_pickands_raw", counted)
     model = CanonicalModel(0.0, mu)
     y = sample_minstable_batch(model, d, n, np.random.default_rng(16))
-    assert abs(sum(drawn) / n - d) <= 0.05 * d
+    assert abs(sum(drawn) / n - d * walked) <= 0.05 * d * walked
     assert abs(survival_z(y, [1.0, 0.5, 2.0], model)) <= 4.0
+
+
+mixed_route_cases = [
+    ("twopoint+exp", MixingMeasure([(0.5, TwoPoint(0.7)), (0.5, UnitExponential())])),
+    ("frechet+tilted", MixingMeasure([(0.5, Frechet(0.5)),
+                                      (0.5, tilt(UnitExponential(), 2.0))])),
+    ("frechet+dirac+discrete", MixingMeasure([
+        (0.25, Frechet(0.5)), (0.25, Dirac1()),
+        (0.5, Discrete([(0.5, 0.5), (1.5, 0.5)]))])),
+]
+
+
+@pytest.mark.parametrize("d", [3, 10])
+@pytest.mark.parametrize("b", [0.0, 0.3])
+@pytest.mark.parametrize("name, mu", mixed_route_cases,
+                         ids=[c[0] for c in mixed_route_cases])
+def test_minstable_closed_parts_and_walk(name, mu, b, d):
+    # closed parts and a walk that starts from their minima
+    model = CanonicalModel(b, mu)
+    n = 20_000
+    y = sample_minstable_batch(model, d, n, np.random.default_rng(17))
+    assert np.all(np.isfinite(y)) and np.all(y > 0.0)
+    for t in (np.full(d, 0.3), np.full(d, 1.0),
+              np.random.default_rng(18).uniform(0.1, 2.0, d)):
+        assert abs(survival_z(y, t, model)) <= 4.0
+    se = 1.0 / math.sqrt(n)
+    assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
 
 
 closed_form_families = st.one_of(
     st.just(Dirac1()),
     st.just(UnitExponential()),
     st.floats(0.05, 0.95).map(Frechet),
+    st.just(Tilted(Frechet(0.7), 2.0)),
     st.floats(0.05, 5.0).map(TwoPoint),
     st.floats(0.05, 0.95).map(
         lambda p: Discrete([(0.5, p), ((1.0 - 0.5 * p) / (1.0 - p), 1.0 - p)])),
@@ -285,6 +326,13 @@ def test_sampler_budget_errors_report_rows_in_the_message(monkeypatch):
     with pytest.raises(ResourceError, match="rows left") as err:
         sample_pickands_batch(model, 3, 100, np.random.default_rng(0))
     assert math.isnan(err.value.achieved_bound)
+
+
+def test_minstable_subnormal_b_overflows_to_the_extremal_part():
+    # E / b is past the float range: inf, with no RuntimeWarning
+    model = CanonicalModel(5e-324, MixingMeasure.point(Dirac1()))
+    y = sample_minstable_batch(model, 2, 50, np.random.default_rng(1))
+    assert np.all(np.isfinite(y)) and np.all(y == y[:, :1])
 
 
 def test_minstable_validation():
