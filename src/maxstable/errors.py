@@ -19,8 +19,10 @@ class NumericError(RuntimeError):
 class ResourceError(RuntimeError):
     """A sampler exhausted its arrival or iteration budget.
 
-    ``achieved_bound`` reports the certified truncation bound at the point
-    the budget ran out.
+    ``achieved_bound`` reports the certified truncation bound of the path
+    series at the point the budget ran out: inf where no threshold
+    certifies ``tol`` at all, and NaN from the samplers that truncate no
+    series (the minimum construction, the simplex sampler).
     """
 
     def __init__(self, message: str, achieved_bound: float = float("nan")):

@@ -13,9 +13,10 @@ family add up exactly to a stable term s t^(1/alpha) drawn per row
 (Kanter 1975), those of the others stay a series.  Only that series
 is truncated, and only it takes ``tol``: it stops once the expected
 omitted increment over the requested horizon is below ``tol``, using the
-envelope -log F(u-) <= 2 (1 - F(u-)) valid above the median; families with
-bounded support terminate exactly, and atoms below the support infimum pin
-the path to +oo from the corresponding time onward.
+envelope -log F(u-) <= 2 (1 - F(u-)) valid above the median, and checked
+against one threshold per horizon; families with bounded support terminate
+exactly, and atoms below the support infimum pin the path to +oo from the
+corresponding time onward, a pinned row scaling its horizon's threshold.
 
 First passage Y_k = inf{t : H_t > eta_k} runs on blocks of rows, as
 sample_idt_path runs on one row: it doubles each row's horizon until the
@@ -55,9 +56,6 @@ _BISECT_RTOL = 1e-10
 _PASSAGE_BLOCK = 4096
 #: arrivals of a row's first draw; each later draw doubles the row's count
 _FIRST_DRAW = 8
-#: relative width around a solved certification threshold within which an
-#: arrival is checked against the remainder bound itself
-_CERTIFY_BAND = 1e-6
 #: (arrival, point) pairs evaluated at once by IdtPath.values
 _SWEEP_PAIRS = 2**20
 
@@ -462,23 +460,26 @@ class IdtPath:
 
 class _Series:
     """What the rows of one batch share: the triplet, the tolerance and the
-    certification thresholds solved so far, one per effective horizon.  At
-    rate c w_i, a component with -log F = C x^(-1/alpha) sums to the stable
-    term (C / c_alpha) (c w_i t)^(1/alpha) S; the series holds the others.
+    certification thresholds solved so far, one per horizon.  At rate c w_i,
+    a component with -log F = C x^(-1/alpha) sums to the stable term
+    (C / c_alpha) (c w_i t)^(1/alpha) S; the series holds the others.
 
-    A row's series is certified over [0, horizon] once its last arrival
-    reaches eff * median_max and the remainder bound
+    A row's series may be cut over [0, horizon] once its last arrival
+    reaches eff * median_max, eff = min(horizon, pin), and the remainder
+    bound
 
-        2 * intensity * eff * sum_i w_i tail_i(last / eff),  eff = min(horizon, pin),
+        bound(eff, last) = 2 * intensity * eff * sum_i w_i tail_i(last / eff)
 
-    is at most ``tol``.  The bound decreases in ``last``, so it is solved
-    once per eff (the horizon, or a pinned row's pin time) for the arrival
-    at which it crosses ``tol``; arrivals within a relative
-    ``_CERTIFY_BAND`` of that point (for a pin time, within about one
-    arrival of it) are checked against the bound itself.  If every family
-    has bounded support, the series is instead certified, exactly and
-    without ``tol``, once its last arrival reaches eff * upper, the largest
-    support bound: later arrivals add nothing on [0, eff].
+    is at most ``tol``.  The bound decreases in ``last``, and bound(eff, x)
+    = (eff / horizon) bound(horizon, x horizon / eff), so it is solved once
+    per horizon for its threshold, the least float at which
+    bound(horizon, .) is at most ``tol``, and a row is certified once
+    last * horizon / eff reaches it: for an unpinned row (eff = horizon)
+    that is the bound's own comparison, and a pinned row's bound is then at
+    most eff / horizon times ``tol``.  If every family has bounded support,
+    the series is instead certified, exactly and without ``tol``, once its
+    last arrival reaches eff * upper, the largest support bound: later
+    arrivals add nothing on [0, eff].
     """
 
     def __init__(self, triplet: IdtTriplet, tol: float):
@@ -521,62 +522,44 @@ class _Series:
                    for w, F in zip(self.weights, self.families))
         return 2.0 * self.intensity * eff * tail
 
+    def thresholds(self, horizon) -> np.ndarray:
+        """The threshold of each entry's horizon (see _threshold)."""
+        values, inverse = np.unique(horizon, return_inverse=True)
+        return np.array([self._threshold(v) for v in values.tolist()])[inverse]
+
     def certified(self, last, pin, horizon) -> np.ndarray:
         """Whether a series cut after an arrival at ``last``, with pin time
         ``pin``, is certified over [0, horizon]; elementwise."""
         eff = np.minimum(horizon, pin)
         if math.isfinite(self.upper):
             return last >= eff * self.upper
-        ok = last >= eff * self.median_max
-        idx = np.flatnonzero(ok)
-        e, g = eff[idx], last[idx]
-        values, first, inverse = np.unique(e, return_index=True, return_inverse=True)
-        # a pin time serves one row: bracket its threshold from there
-        lo, hi = np.array([
-            self._threshold(v, g[i] if v < horizon[idx[i]] else None)
-            for v, i in zip(values.tolist(), first)
-        ]).reshape(-1, 2).T[:, inverse]
-        good = g >= hi
-        band = (g > lo) & ~good
-        if np.any(band):
-            good[band] = self.bound(e[band], g[band]) <= self.tol
-        ok[idx] = good
-        return ok
+        return ((last >= eff * self.median_max)
+                & (last * (horizon / eff) >= self.thresholds(horizon)))
 
-    def _threshold(self, horizon: float, start=None):
-        """(lo, hi): the bound over [0, horizon] exceeds tol at lo and is at
-        most tol at hi, and hi / lo <= 1 + band.
-
-        A ``start`` point means the threshold serves one row: the bracket
-        begins there, and the bisection stops as soon as [lo, hi] expects at
-        most one arrival, which the caller checks exactly.
-        """
+    def _threshold(self, horizon: float) -> float:
+        """The least float at which the bound over [0, horizon] is at most
+        tol (0 if it is at 0)."""
         cached = self._thresholds.get(horizon)
         if cached is not None:
             return cached
         if self.bound(horizon, 0.0) <= self.tol:
-            cached = (-math.inf, 0.0)
+            hi = 0.0
         else:
-            lo, hi = 0.0, start or horizon * max(self.median_max, 1.0)
+            lo, hi = 0.0, horizon * max(self.median_max, 1.0)
             while self.bound(horizon, hi) > self.tol:
                 lo, hi = hi, 2.0 * hi
                 if math.isinf(hi):
                     raise ResourceError(
                         f"path series cannot certify tol {self.tol:g} "
                         f"over [0, {horizon:g}]", achieved_bound=math.inf)
-            for _ in range(200):
-                if hi <= lo * (1.0 + _CERTIFY_BAND):
-                    break
-                if start is not None and (hi - lo) * self.intensity <= 1.0:
-                    break
-                mid = 0.5 * (lo + hi)
+            # halve [lo, hi] until lo and hi are adjacent floats
+            while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
                 if self.bound(horizon, mid) <= self.tol:
                     hi = mid
                 else:
                     lo = mid
-            cached = (lo, hi)
-        self._thresholds[horizon] = cached
-        return cached
+        self._thresholds[horizon] = hi
+        return hi
 
 
 def _child(rng, *key):
@@ -659,19 +642,21 @@ class _Rows:
         arrivals, for rows that no later arrival can pin earlier than eff."""
         series = self.series
         final = last >= eff * series.lowers.max()
-        for v, i in zip(*np.unique(eff[final], return_index=True)):
-            if math.isfinite(series.upper):
-                point = v * series.upper
-            else:
-                pinned = v < horizon[final][i]
-                point = max(v * series.median_max, series._threshold(
-                    v, last[final][i] if pinned else None)[0])
-            if series.intensity * point > 2.0 * MAX_ARRIVALS:
-                raise ResourceError(
-                    f"path series needs about {series.intensity * point:.3g} "
-                    f"arrivals to certify tol {series.tol:g} over [0, {v:g}] "
-                    f"(cap {MAX_ARRIVALS})", achieved_bound=float(
-                        series.bound(v, MAX_ARRIVALS / series.intensity)))
+        if not np.any(final):
+            return
+        eff, horizon = eff[final], horizon[final]
+        if math.isfinite(series.upper):
+            point = eff * series.upper
+        else:
+            point = np.maximum(eff * series.median_max,
+                               series.thresholds(horizon) * (eff / horizon))
+        worst = int(np.argmax(point))
+        needed, v = series.intensity * point[worst], eff[worst]
+        if needed > 2.0 * MAX_ARRIVALS:
+            raise ResourceError(
+                f"path series needs about {needed:.3g} arrivals to certify "
+                f"tol {series.tol:g} over [0, {v:g}] (cap {MAX_ARRIVALS})",
+                achieved_bound=float(series.bound(v, MAX_ARRIVALS / series.intensity)))
 
     def _store(self, n: int) -> np.ndarray:
         """The next n slots of the store."""

@@ -646,16 +646,29 @@ def test_path_with_stable_terms_matches_stdf(tr):
     assert abs(np.mean(vals) - exact) <= 4.0 * se
 
 
-def test_conditional_iid_mixture_with_pinned_paths():
-    # the Discrete atom at 0.5 lies below the support, so paths pin to +oo
-    # and the bisection sweep has to honour each row's pin time
-    mu = MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
-                        (0.5, UnitExponential())])
-    tr = IdtTriplet(0.2, 0.8, mu)
-    n = 4_000
-    y = sample_conditional_iid_batch(tr, 2, n, np.random.default_rng(51))
+# atoms below the support infimum (Discrete's 0.5, Dirac1's 1) pin the path
+# to +oo; EXP_DIRAC1 is the pinned case of the path tests below
+EXP_DIRAC1 = IdtTriplet(0.1, 0.9, MixingMeasure([(0.5, UnitExponential()),
+                                                 (0.5, Dirac1())]))
+PINNED_MIXTURES = [
+    IdtTriplet(0.2, 0.8, MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
+                                        (0.5, UnitExponential())])),
+    IdtTriplet(0.0, 1.0, MixingMeasure([(0.5, UnitExponential()), (0.5, Dirac1())])),
+    IdtTriplet(0.3, 0.7, MixingMeasure([(0.5, tilt(UnitExponential(), 0.5)),
+                                        (0.5, Dirac1())])),
+]
+PINNED_IDS = ["discrete_exponential", "exponential_dirac1", "tilted_dirac1"]
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("tr", PINNED_MIXTURES, ids=PINNED_IDS)
+def test_conditional_iid_mixture_with_pinned_paths(tr, d):
+    # pinned rows certify against their horizon's threshold scaled by
+    # horizon / pin, and the bisection sweep has to honour each row's pin time
+    n = 10_000
+    y = sample_conditional_iid_batch(tr, d, n, np.random.default_rng(51))
     model = tr.to_canonical()
-    for t in ([0.5, 0.5], [1.0, 0.3], [1.5, 1.5]):
+    for t in (np.full(d, 0.5), np.resize([1.0, 0.3], d), np.full(d, 3.0 / d)):
         assert abs(survival_z(y, t, model)) <= 4.0
     se = 1.0 / math.sqrt(n)
     assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
@@ -670,8 +683,9 @@ def test_conditional_iid_mixture_with_pinned_paths():
                                         (0.5, UnitExponential())])),
     IdtTriplet(0.3, 0.7, MixingMeasure.point(Frechet(0.8))),
     IdtTriplet(0.0, 1.0, MixingMeasure([(0.5, Frechet(0.5)), (0.5, TwoPoint(2.0))])),
+    EXP_DIRAC1,
 ], ids=["unit_exponential", "two_point", "two_point_drift", "dirac1",
-        "pinned_mixture", "frechet_drift", "frechet_two_point"])
+        "pinned_mixture", "frechet_drift", "frechet_two_point", "exponential_dirac1"])
 def test_conditional_iid_rows_do_not_depend_on_n(tr, monkeypatch):
     # rows are drawn and bisected in blocks; a row's value must depend
     # neither on the rows after it in its block nor on the number of blocks
@@ -710,28 +724,86 @@ def test_path_uncertifiable_tail_raises_quickly():
             sample_idt_path(two_point, horizon, np.random.default_rng(53))
 
 
-def test_pinned_path_solves_threshold_per_pin_time(monkeypatch):
-    # Dirac1 atoms pin the path; each pin time gets its own certification
-    # threshold instead of an exact bound per arrival
-    mu = MixingMeasure([(0.5, UnitExponential()), (0.5, Dirac1())])
-    tr = IdtTriplet(0.1, 0.9, mu)
-    calls = []
-    for cls in (UnitExponential, Dirac1):
-        orig = cls.tail_integral
+def _spy_series(monkeypatch) -> list:
+    """The _Series that the samplers build from here on, in order."""
+    made = []
 
-        def counted(self, a, orig=orig):
-            calls.append(a)
-            return orig(self, a)
+    class Spy(samplers._Series):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
 
-        monkeypatch.setattr(cls, "tail_integral", counted)
-    path = sample_idt_path(tr, 8.0, np.random.default_rng(0), 1e-5)
-    assert len(calls) < 100
-    # forcing the exact bound on every arrival certifies at the same one
-    monkeypatch.setattr(samplers._Series, "_threshold",
-                        lambda self, horizon, start: (-math.inf, math.inf))
-    exact = sample_idt_path(tr, 8.0, np.random.default_rng(0), 1e-5)
-    assert path.atoms == exact.atoms
-    assert path.truncation_bound == exact.truncation_bound
+    monkeypatch.setattr(samplers, "_Series", Spy)
+    return made
+
+
+def test_pinned_path_scales_its_horizon_threshold(monkeypatch):
+    # a Dirac1 arrival at gamma pins the path from eff = gamma on; the row
+    # meets the horizon's one threshold at last * horizon / eff, and it
+    # stops at the first arrival that does
+    made = _spy_series(monkeypatch)
+    horizon, tol = 8.0, 1e-5
+    pinned = 0
+    for seed in range(20):
+        path = sample_idt_path(EXP_DIRAC1, horizon, np.random.default_rng(seed), tol)
+        series = made[-1]
+        assert list(series._thresholds) == [horizon]
+        threshold = series._thresholds[horizon]
+        assert path.truncation_bound <= tol
+
+        def certifies(k):
+            # the series cut after the first k kept arrivals
+            gammas = [g for g, _ in path.atoms[:k]]
+            pins = [g for g, F in path.atoms[:k] if isinstance(F, Dirac1)]
+            eff = min([horizon] + pins)
+            last = gammas[-1] if gammas else 0.0
+            return (last * (horizon / eff) >= threshold
+                    and last >= eff * series.median_max)
+
+        assert certifies(len(path.atoms))
+        assert not certifies(len(path.atoms) - 1)
+        pinned += path.value(horizon) == math.inf
+    assert pinned >= 5
+
+
+def test_first_passage_solves_thresholds_at_row_horizons_only(monkeypatch):
+    # pinned rows scale the threshold of their horizon, so thresholds are
+    # solved at the doubling horizons 2^j and never at a pin time
+    made = _spy_series(monkeypatch)
+    y = sample_conditional_iid_batch(EXP_DIRAC1, 5, 2_000, np.random.default_rng(57))
+    series, = made
+    horizons = sorted(series._thresholds)
+    assert horizons == [2.0 ** j for j in range(len(horizons))]
+    assert len(horizons) > 1 and np.all(np.isfinite(y))
+
+
+@pytest.mark.parametrize("tr", [
+    IdtTriplet(0.0, 1.0, MixingMeasure.point(UnitExponential())),
+    IdtTriplet(0.0, 1.0, MixingMeasure.point(tilt(UnitExponential(), 2.5))),
+    IdtTriplet(0.25, 0.75, MixingMeasure([(0.5, TwoPoint(0.7)),
+                                          (0.5, UnitExponential())])),
+], ids=["unit_exponential", "tilted_quadrature", "two_point_exponential"])
+@pytest.mark.parametrize("tol", [1e-3, 1e-5])
+def test_threshold_is_the_least_float_within_tol(tr, tol):
+    # an unpinned row is certified exactly where the bound is at most tol
+    series = samplers._Series(tr, tol)
+    for horizon in (0.5, 1.0, 8.0, 1e3):
+        threshold = series._threshold(horizon)
+        assert series.bound(horizon, threshold) <= tol
+        if threshold > 0.0:
+            assert series.bound(horizon, np.nextafter(threshold, 0.0)) > tol
+
+
+def test_pinned_path_matches_stdf():
+    # E exp(-sum_k H(t_k)) = P(Y > t) = exp(-l(t)) for b + c = 1
+    t = np.array([0.5, 1.0, 1.5])
+    vals = []
+    for seed in range(2_000):
+        path = sample_idt_path(EXP_DIRAC1, 1.5, np.random.default_rng(seed), 1e-5)
+        vals.append(math.exp(-path.values(t).sum()))
+    exact = math.exp(-stdf_canonical(EXP_DIRAC1.to_canonical(), t))
+    se = np.std(vals) / math.sqrt(len(vals))
+    assert abs(np.mean(vals) - exact) <= 4.0 * se
 
 
 def test_conditional_iid_sweep_matches_scalar_bisection():
