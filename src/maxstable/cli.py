@@ -21,7 +21,12 @@ from .samplers import (
     sample_pickands_batch,
 )
 from .stdf import weight_vector
-from .verify import (
+# the mc_* names stay bound here: bench/tracing.py wraps them in this module
+from .verify import (  # noqa: F401
+    _build_margin,
+    _build_pickands,
+    _build_survival,
+    _run_checks,
     _run_chunks,
     mc_margin_check,
     mc_pickands_check,
@@ -87,7 +92,7 @@ def _sample_csv(args, out, prefix: str, draw) -> int:
     def chunk(child, size):
         return draw(model, args.d, size, child)
 
-    blocks = _run_chunks(rng, args.n, chunk, args.workers)
+    [blocks] = _run_chunks(rng, [(args.n, chunk)], args.workers)
     print(",".join(f"{prefix}{i + 1}" for i in range(args.d)), file=out)
     for block in blocks:
         _print_rows(block, out)
@@ -112,15 +117,12 @@ def _cmd_verify(args, out) -> int:
     if args.t is None:
         raise SpecError("field 't' is required for verify")
     t = _parse_t(args.t)
-    rng = np.random.default_rng(args.seed)
-    reports = [
-        mc_survival_check(model, t, args.n, rng, z_threshold=args.z_threshold,
-                          workers=args.workers),
-        mc_pickands_check(model, t, args.n, rng, z_threshold=args.z_threshold,
-                          workers=args.workers),
-        mc_margin_check(model, args.n, rng, z_threshold=args.z_threshold,
-                        workers=args.workers),
+    checks = [
+        _build_survival(model, t, args.n, args.z_threshold),
+        _build_pickands(model, t, args.n, args.z_threshold),
+        _build_margin(model, args.n, args.z_threshold),
     ]
+    reports = _run_checks(checks, np.random.default_rng(args.seed), args.workers)
     print(reports_to_csv(reports), end="", file=out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 

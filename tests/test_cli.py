@@ -8,9 +8,21 @@ import sys
 import numpy as np
 import pytest
 
-from maxstable import cli
+from maxstable import cli, verify
+from maxstable.modelspec import parse_model
+from maxstable.verify import (
+    mc_margin_check,
+    mc_pickands_check,
+    mc_survival_check,
+    reports_to_csv,
+)
 
 LN2 = math.log(2.0)
+BENCH_SPECS = {
+    name: os.path.join(os.path.dirname(__file__), os.pardir, "bench", "specs",
+                       f"{name}_mixture.json")
+    for name in ("heavy", "light")
+}
 
 
 def run_cli(argv):
@@ -242,6 +254,51 @@ def test_verify_closed_minimum_workers_invariant():
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_verify_validates_every_check_before_drawing(monkeypatch, capsys):
+    # --t 0,0,0 is valid for the survival check and fails the Pickands check:
+    # nothing is drawn for the survival check first
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(verify, "sample_minstable_batch", counted)
+    monkeypatch.setattr(verify, "sample_pickands_batch", counted)
+    cases = [
+        (["--t", "0,0,0", "--n", "2000000"], "t must have at least one positive entry"),
+        (["--t", "1,1,1", "--n", "999"], "n must be at least 1000, got 999"),
+    ]
+    for extra, message in cases:
+        capsys.readouterr()
+        code, out = run_cli(["verify", "--spec", BENCH_SPECS["heavy"], "--seed", "1"]
+                            + extra)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["heavy", "light"])
+@pytest.mark.parametrize("n", [16_384, 20_001])
+def test_verify_report_equals_the_checks_in_turn(spec, n):
+    path = BENCH_SPECS[spec]
+    with open(path, encoding="utf-8") as fh:
+        model = parse_model(fh.read()).require_canonical()
+    t = [1.0, 1.0, 1.0]
+    rng = np.random.default_rng(3)
+    expected = reports_to_csv([
+        mc_survival_check(model, t, n, rng),
+        mc_pickands_check(model, t, n, rng),
+        mc_margin_check(model, n, rng),
+    ])
+    for w in ("1", "2", "3"):
+        code, out = run_cli(["verify", "--spec", path, "--t", "1,1,1", "--n", str(n),
+                             "--seed", "3", "--workers", w])
+        assert code == 0
+        assert out == expected
 
 
 def test_path_exact_grid(spec_dir):

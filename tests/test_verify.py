@@ -121,6 +121,59 @@ def test_reports_deterministic_and_worker_invariant():
     assert again == runs[0]
 
 
+def test_run_chunks_shards_jobs_in_order_with_spawned_children():
+    ns = [0, 1, 8192, 20_001]
+
+    def job(k):
+        def chunk(child, size):
+            return k, size, child.bit_generator.seed_seq.spawn_key, child.random()
+        return chunk
+
+    expected = [[], [1], [8192], [8192, 8192, 3617]]
+    ref = np.random.default_rng(23)
+    keys = [[c.bit_generator.seed_seq.spawn_key for c in ref.spawn(len(sizes))]
+            for sizes in expected]
+    runs = []
+    for workers in (1, 4):
+        per_job = verify._run_chunks(np.random.default_rng(23),
+                                     [(n, job(k)) for k, n in enumerate(ns)], workers)
+        assert len(per_job) == len(ns)
+        for k, parts in enumerate(per_job):
+            assert [p[0] for p in parts] == [k] * len(expected[k])
+            assert [p[1] for p in parts] == expected[k]
+            assert [p[2] for p in parts] == keys[k]
+        runs.append(per_job)
+    assert runs[0] == runs[1]
+
+
+def test_checks_validate_before_drawing(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(verify, "sample_minstable_batch", counted)
+    monkeypatch.setattr(verify, "sample_pickands_batch", counted)
+    model = CanonicalModel(0.5, MixingMeasure.point(TwoPoint(LN2)))
+    rng = np.random.default_rng(0)
+    cases = [
+        (lambda: mc_survival_check(model, [1.0, 1.0], 999, rng),
+         "n must be at least 1000, got 999"),
+        (lambda: mc_pickands_check(model, [1.0, 1.0], 1, rng),
+         "n must be at least 2, got 1"),
+        (lambda: mc_pickands_check(model, [0.0, 0.0, 0.0], 2_000_000, rng),
+         "t must have at least one positive entry"),
+        (lambda: mc_margin_check(model, 999, rng),
+         "n must be at least 1000, got 999"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    assert calls == []
+
+
 def test_csv_output_format():
     rng = np.random.default_rng(13)
     r = mc_survival_check(CanonicalModel(1.0), [1.0], 5_000, rng)
