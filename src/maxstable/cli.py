@@ -21,7 +21,8 @@ from .samplers import (
     sample_pickands_batch,
 )
 from .stdf import weight_vector
-# the mc_* names stay bound here: bench/tracing.py wraps them in this module
+# the mc_* names are never called here; they stay bound only because
+# bench/tracing.py wraps them in this module
 from .verify import (  # noqa: F401
     _build_margin,
     _build_pickands,

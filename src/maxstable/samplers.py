@@ -8,27 +8,32 @@ own part: a Frechet-type family (-log F an exact power) as the passage of
 one stable term, a one-atom family in closed form; the others are walked
 together by extremal functions, starting from the minima of those parts.
 
-Paths and first passage share one engine: the arrivals of a Frechet-type
-family add up exactly to a stable term s t^(1/alpha) drawn per row
-(Kanter 1975), those of the others stay a series.  Only that series
-is truncated, and only it takes ``tol``: it stops once the expected
-omitted increment over the requested horizon is below ``tol``, using the
-envelope -log F(u-) <= 2 (1 - F(u-)) valid above the median, and checked
-against one threshold per horizon; families with bounded support terminate
-exactly, and atoms below the support infimum pin the path to +oo from the
-corresponding time onward, a pinned row scaling its horizon's threshold.
+Paths and first passage share the LePage series: the arrivals of a
+Frechet-type family add up exactly to a stable term s t^(1/alpha) drawn
+per row (Kanter 1975), those of the others stay a series.
 
-First passage Y_k = inf{t : H_t > eta_k} runs on blocks of rows, as
-sample_idt_path runs on one row: it doubles each row's horizon until the
-row's certified path exceeds its levels, then bisects every coordinate of
-the block in one vectorized sweep on the rows' final paths.
+A path truncates that series, and only a path takes ``tol``: it stops
+once the expected omitted increment over the requested horizon is below
+``tol``, using the envelope -log F(u-) <= 2 (1 - F(u-)) valid above the
+median, and checked against one threshold per horizon; families with
+bounded support terminate exactly, and atoms below the support infimum pin
+the path to +oo from the corresponding time onward, a pinned row scaling
+its horizon's threshold.
+
+First passage Y_k = inf{t : H_t > eta_k} is exact for every ``tol``.  Each
+row draws a fixed number of arrivals, a stopping time of the arrivals
+alone, so the later ones are a fresh Poisson process (Kingman 1993) and
+add the minimum construction over themselves: Y = min(Y^N, Z), with Y^N
+the passage of the truncated path and Z walked by extremal functions over
+the arrivals above the row's last.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,10 +57,13 @@ __all__ = [
 MAX_ARRIVALS = 10**7
 _PICKANDS_MAX_RESAMPLES = 100
 _BISECT_RTOL = 1e-10
-#: rows of one generic first-passage block, which has its own generator
+#: rows of one first-passage block, which has its own generator
 _PASSAGE_BLOCK = 4096
-#: arrivals of a row's first draw; each later draw doubles the row's count
+#: series arrivals of a first-passage row, and of a path's first draw; each
+#: later draw of a path doubles its count
 _FIRST_DRAW = 8
+#: (triplet, tol) pairs whose _Series the samplers keep across calls
+_SERIES_CACHE = 32
 #: (arrival, point) pairs evaluated at once by IdtPath.values
 _SWEEP_PAIRS = 2**20
 
@@ -104,9 +112,9 @@ def sample_minstable_batch(model: CanonicalModel, d: int, n: int,
     log s = log S + log(w) / alpha + log(C / c_alpha); gamma_(J_k) / (v w),
     J_k iid geometric(p), for one atom v of mass p.  The other families,
     of total weight w_R, are walked as one process of rate w_R from the
-    minima of those parts (mu itself at rate 1 if nothing else is in it).
-    That is exact: the parts are independent, and a walk that starts lower
-    only stops sooner.
+    minima of those parts (mu itself at rate 1 if nothing else is in it),
+    from a child that rng spawns.  That is exact: the parts are independent,
+    and a walk that starts lower only stops sooner.
     """
     d, n = int(d), int(n)
     if d < 1:
@@ -132,11 +140,11 @@ def sample_minstable_batch(model: CanonicalModel, d: int, n: int,
             continue
         np.minimum(extremal, part, out=extremal)
     if len(walked) == len(model.mu.components):
-        _extremal_minimum(model.mu, extremal, 1.0, rng)
+        _extremal_minimum(model.mu, extremal, 1.0, rng.spawn(1)[0])
     elif walked:
         rate = math.fsum(w for w, _ in walked)
         _extremal_minimum(MixingMeasure([(w / rate, F) for w, F in walked]),
-                          extremal, rate, rng)
+                          extremal, rate, rng.spawn(1)[0])
     if model.b == 0.0:
         return extremal
     independent = rng.exponential(size=(n, d))
@@ -192,48 +200,54 @@ def _one_atom_minimum(p: float, d: int, n: int, rng) -> np.ndarray:
 
 
 def _extremal_minimum(mu: MixingMeasure, minima: np.ndarray, rate: float,
-                      rng) -> None:
-    """Lower ``minima`` in place by the arrivals of an independent process of
-    rate ``rate`` whose families are drawn from mu, walked by extremal
-    functions (Dombry, Engelke & Oesting 2016); exact.
+                      rng, floor=0.0) -> None:
+    """Lower ``minima`` in place by the arrivals above each row's ``floor`` of
+    an independent process of rate ``rate`` whose families are drawn from
+    mu, walked by extremal functions (Dombry, Engelke & Oesting 2016); exact.
 
-    For each coordinate k the arrivals gamma < Z_k are walked in order.
-    Each carries a vector X from the k-th extremal-function law: the family
-    drawn from mu, slot k size-biased and the other slots iid
-    (_pickands_raw).  Its candidate gamma * X_k / X is dropped if it
-    undercuts some Z_j, j < k, because the walk over coordinate j has
-    already met every arrival that lowers Z_j; otherwise it lowers Z.  From
-    infinite minima a row draws d vectors on average.  The open rows'
-    minima are kept compacted, and a row is written back once it closes.
+    For each coordinate k the points zeta < Z_k of a process of rate
+    ``rate`` are walked in order.  Each carries a vector X from the k-th
+    extremal-function law: the family drawn from mu, slot k size-biased and
+    the other slots iid (_pickands_raw), and stands for the arrival
+    zeta * X_k with candidate zeta * X_k / X.  It is dropped if that arrival
+    is at most the row's floor, which keeps the walk to the arrivals above
+    it, or if it undercuts some Z_j, j < k, because the walk over coordinate
+    j has already met every arrival that lowers Z_j; otherwise it lowers Z.
+    From infinite minima and a floor of 0 a row draws d vectors on average.
+    Step s of walk k draws the gaps from the child of rng keyed (k, s, 0)
+    and the vectors from the one keyed (k, s, 1), for the open rows only,
+    kept in order: a row depends only on itself and the rows before it.
     """
     n, d = minima.shape
     for k in range(d):
-        gamma = rng.exponential(size=n) / rate
-        rows = np.nonzero(gamma < minima[:, k])[0]
-        # np.take and np.compress: several times faster than fancy indexing
-        # on rows of a 2-d array
-        g, current = gamma[rows], np.take(minima, rows, axis=0)
-        arrivals = 0
-        while rows.size:
-            if arrivals >= MAX_ARRIVALS:
+        rows, zeta, floors = np.arange(n), np.zeros(n), np.broadcast_to(floor, n)
+        current = minima.copy()
+        for step in itertools.count():
+            zeta += _child(rng, k, step, 0).exponential(size=rows.size) / rate
+            still = zeta < current[:, k]
+            # np.compress: several times faster than fancy indexing on rows
+            # of a 2-d array
+            if not still.all():
+                minima[rows[~still]] = np.compress(~still, current, axis=0)
+                rows, zeta, floors = rows[still], zeta[still], floors[still]
+                current = np.compress(still, current, axis=0)
+            if not rows.size:
+                break
+            if step >= MAX_ARRIVALS:
                 raise ResourceError(
                     f"minimum construction exceeded {MAX_ARRIVALS} arrivals "
                     f"in coordinate {k} with {rows.size} rows open")
-            x = _pickands_raw(mu, d, rows.size, np.full(rows.size, k), rng)
+            x = _pickands_raw(mu, d, rows.size, np.full(rows.size, k),
+                              _child(rng, k, step, 1))
             # a candidate past the float range is inf, which lowers nothing;
             # an infinite x_k makes inf / inf in column k, which is overwritten
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                candidate = (g * x[:, k])[:, None] / x
-            candidate[:, k] = g
-            keep = ~np.any(candidate[:, :k] < current[:, :k], axis=1)
+                arrival = zeta * x[:, k]
+                candidate = arrival[:, None] / x
+            candidate[:, k] = zeta
+            keep = arrival > floors
+            keep &= ~np.any(candidate[:, :k] < current[:, :k], axis=1)
             np.minimum(current, candidate, out=current, where=keep[:, None])
-            g += rng.exponential(size=rows.size) / rate
-            still = g < current[:, k]
-            if not still.all():
-                minima[rows[~still]] = np.compress(~still, current, axis=0)
-                rows, g = rows[still], g[still]
-                current = np.compress(still, current, axis=0)
-            arrivals += 1
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +309,26 @@ def sample_pickands_batch(model: CanonicalModel, d: int, n: int, rng):
 
 def _pickands_raw(mu: MixingMeasure, d, m, picked, rng):
     """m rows of a family drawn from mu: slot ``picked`` size-biased, the
-    others iid.  A family drawn by every row takes them without selection."""
+    others iid.  A family drawn by every row takes them without selection.
+
+    Row i takes row i of the uniforms from rng, and its family and its
+    family's size-biased draws come in row order from children that rng
+    spawns: from a fresh rng, row i depends only on rows <= i.
+    """
     weights, families = _mixture_arrays(mu)
+    children = rng.spawn(len(families) + (len(families) > 1))
     comp = (np.zeros(m, dtype=int) if len(families) == 1 else
-            np.searchsorted(np.cumsum(weights), rng.random(m), side="left"))
+            np.searchsorted(np.cumsum(weights), children[-1].random(m), side="left"))
     out, biased = np.empty((m, d)), np.empty(m)
     u = rng.random((m, d))
-    for ci, F in enumerate(families):
+    for ci, (F, child) in enumerate(zip(families, children)):
         rows = np.flatnonzero(comp == ci)
         if rows.size == m:
             out = np.asarray(F.quantile(u), dtype=float)
-            biased = F.sample_size_biased(rng, size=m)
+            biased = F.sample_size_biased(child, size=m)
         elif rows.size:
             out[rows] = F.quantile(np.take(u, rows, axis=0))
-            biased[rows] = F.sample_size_biased(rng, size=rows.size)
+            biased[rows] = F.sample_size_biased(child, size=rows.size)
     out[np.arange(m), picked] = biased
     return out
 
@@ -381,16 +401,16 @@ class _PathSweep:
 
 
 def _bisect(evaluate, eta, t_hi) -> np.ndarray:
-    """First passage over ``eta`` of increasing paths with H(t_hi) > eta.
+    """First passage over ``eta`` of increasing paths, capped at t_hi.
 
-    Per entry this is the bisection lo = 0, hi = t_hi, halving while
-    hi - lo > _BISECT_RTOL * hi (at most 200 times) and keeping H(hi) > eta;
-    it returns hi.  ``evaluate(ts, ids)`` gives H at ts for the open entries
-    ``ids``.
+    Per entry this is t_hi if H(t_hi) <= eta, else the bisection lo = 0,
+    hi = t_hi, halving while hi - lo > _BISECT_RTOL * hi (at most 200
+    times) and keeping H(hi) > eta; it returns hi.  ``evaluate(ts, ids)``
+    gives H at ts for the open entries ``ids``.
     """
     hi = np.array(t_hi, dtype=float)
-    lo = np.zeros_like(hi)
     ids = np.arange(hi.size)
+    lo = np.where(evaluate(hi, ids) > eta, 0.0, hi)
     for _ in range(200):
         ids = ids[hi[ids] - lo[ids] > _BISECT_RTOL * hi[ids]]
         if ids.size == 0:
@@ -459,12 +479,12 @@ class IdtPath:
 
 
 class _Series:
-    """What the rows of one batch share: the triplet, the tolerance and the
-    certification thresholds solved so far, one per horizon.  At rate c w_i,
-    a component with -log F = C x^(-1/alpha) sums to the stable term
-    (C / c_alpha) (c w_i t)^(1/alpha) S; the series holds the others.
+    """The LePage series of a triplet, which paths and first passage share.
+    At rate c w_i, a component with -log F = C x^(-1/alpha) sums to the
+    stable term (C / c_alpha) (c w_i t)^(1/alpha) S; the series holds the
+    others, at rate ``intensity`` with mixture ``mu`` (None if empty).
 
-    A row's series may be cut over [0, horizon] once its last arrival
+    A path's series may be cut over [0, horizon] once its last arrival
     reaches eff * median_max, eff = min(horizon, pin), and the remainder
     bound
 
@@ -473,13 +493,14 @@ class _Series:
     is at most ``tol``.  The bound decreases in ``last``, and bound(eff, x)
     = (eff / horizon) bound(horizon, x horizon / eff), so it is solved once
     per horizon for its threshold, the least float at which
-    bound(horizon, .) is at most ``tol``, and a row is certified once
-    last * horizon / eff reaches it: for an unpinned row (eff = horizon)
-    that is the bound's own comparison, and a pinned row's bound is then at
-    most eff / horizon times ``tol``.  If every family has bounded support,
-    the series is instead certified, exactly and without ``tol``, once its
-    last arrival reaches eff * upper, the largest support bound: later
-    arrivals add nothing on [0, eff].
+    bound(horizon, .) is at most ``tol``, and a path is certified once
+    last * horizon / eff reaches it: for an unpinned path (eff = horizon)
+    that is the bound's own comparison, and a pinned path's bound is then
+    at most eff / horizon times ``tol``.  If every family has bounded
+    support, the series is instead certified, exactly and without ``tol``,
+    once its last arrival reaches eff * upper, the largest support bound:
+    later arrivals add nothing on [0, eff].  First passage solves no
+    threshold.
     """
 
     def __init__(self, triplet: IdtTriplet, tol: float):
@@ -499,6 +520,8 @@ class _Series:
         self.intensity *= share
         self.weights = weights[rest] / share
         self.families = [F for F, a in zip(families, alphas) if a is None]
+        self.mu = (MixingMeasure(list(zip(self.weights, self.families)))
+                   if self.families else None)
         self.median_max = max([0.0] + [float(F.quantile(0.5)) for F in self.families])
         self.lowers = np.array([F.support_lower() for F in self.families])
         # with no family left every cut of the series is exact
@@ -515,6 +538,22 @@ class _Series:
         log_s = _log_stable(a, u, e) + self.shifts
         return list(zip(a.tolist(), log_s.T))
 
+    def draw(self, last, size: int, rng, *key):
+        """(gammas, family indices, pin times), shape (rows, size): the next
+        ``size`` arrivals of rows whose last arrival is ``last``, from the
+        children of rng keyed ``key`` and (*key, 1).  A pin time is the
+        least gamma / support_lower so far in the draw."""
+        m = last.size
+        gaps = _child(rng, *key).exponential(size=(m, size))
+        gammas = last[:, None] + np.cumsum(gaps, axis=1) / self.intensity
+        comps = (np.zeros((m, size), dtype=np.int64) if len(self.families) == 1
+                 else np.searchsorted(np.cumsum(self.weights),
+                                      _child(rng, *key, 1).random((m, size))))
+        lowers = self.lowers[comps]
+        with np.errstate(divide="ignore"):
+            pins = np.where(lowers > 0.0, gammas / lowers, np.inf)
+        return gammas, comps, np.minimum.accumulate(pins, axis=1)
+
     def bound(self, eff, last):
         """Expected omitted increment over [0, eff] after arrivals up to
         ``last``: 2 c eff sum_i w_i int_(last / eff)^oo (1 - F_i) du."""
@@ -522,19 +561,30 @@ class _Series:
                    for w, F in zip(self.weights, self.families))
         return 2.0 * self.intensity * eff * tail
 
-    def thresholds(self, horizon) -> np.ndarray:
-        """The threshold of each entry's horizon (see _threshold)."""
-        values, inverse = np.unique(horizon, return_inverse=True)
-        return np.array([self._threshold(v) for v in values.tolist()])[inverse]
-
-    def certified(self, last, pin, horizon) -> np.ndarray:
+    def certified(self, last, pin, horizon: float) -> np.ndarray:
         """Whether a series cut after an arrival at ``last``, with pin time
-        ``pin``, is certified over [0, horizon]; elementwise."""
+        ``pin``, is certified over [0, horizon]; elementwise in last and pin."""
         eff = np.minimum(horizon, pin)
         if math.isfinite(self.upper):
             return last >= eff * self.upper
         return ((last >= eff * self.median_max)
-                & (last * (horizon / eff) >= self.thresholds(horizon)))
+                & (last * (horizon / eff) >= self._threshold(horizon)))
+
+    def require(self, last, eff, horizon: float) -> None:
+        """Fail fast where certifying over [0, eff] expects over 2 * MAX_ARRIVALS
+        arrivals, once no later arrival can pin the path earlier than eff."""
+        if last < eff * self.lowers.max():
+            return
+        if math.isfinite(self.upper):
+            point = eff * self.upper
+        else:
+            point = max(eff * self.median_max, self._threshold(horizon) * (eff / horizon))
+        needed = self.intensity * point
+        if needed > 2.0 * MAX_ARRIVALS:
+            raise ResourceError(
+                f"path series needs about {needed:.3g} arrivals to certify "
+                f"tol {self.tol:g} over [0, {eff:g}] (cap {MAX_ARRIVALS})",
+                achieved_bound=float(self.bound(eff, MAX_ARRIVALS / self.intensity)))
 
     def _threshold(self, horizon: float) -> float:
         """The least float at which the bound over [0, horizon] is at most
@@ -562,6 +612,13 @@ class _Series:
         return hi
 
 
+@lru_cache(maxsize=_SERIES_CACHE)
+def _series(triplet: IdtTriplet, tol: float) -> _Series:
+    """The _Series of (triplet, tol), shared across calls so that a path
+    solves each horizon's threshold once."""
+    return _Series(triplet, tol)
+
+
 def _child(rng, *key):
     """The generator of the child of rng's SeedSequence with spawn key ``key``."""
     seq = rng.bit_generator.seed_seq
@@ -569,163 +626,15 @@ def _child(rng, *key):
         seq.entropy, spawn_key=(*seq.spawn_key, *key), pool_size=seq.pool_size)))
 
 
-#: one stored arrival: its row, its position in the row, gamma, family index,
-#: and the row's pin time up to and including it
-_ARRIVAL = np.dtype([("row", np.int64), ("pos", np.int64), ("gamma", float),
-                     ("comp", np.int64), ("pin", float)])
-
-
-class _Rows:
-    """The LePage series of a block of rows, each certified over its own
-    horizon.  In round r each uncertified row draws _FIRST_DRAW arrivals,
-    or as many as it holds, from the child of the block generator keyed by
-    (r, count): rows drawing the same count take consecutive rows of one
-    matrix, so a row's arrivals depend only on itself and the rows before
-    it.  A row keeps its shortest certified prefix (``kept`` arrivals);
-    until then ``kept`` is the shortest prefix not ruled out.  Either ends
-    in the row's latest draw.
-    """
-
-    def __init__(self, series: _Series, horizons, rng):
-        m = len(horizons)
-        self.series = series
-        self.rng = rng
-        self.stable = series.scales(m, rng) if series.alphas.size else []
-        self.round = 0
-        self.horizon = np.array(horizons, dtype=float)
-        self.count = np.zeros(m, dtype=np.int64)
-        self.kept = np.zeros(m, dtype=np.int64)
-        self.certified = np.zeros(m, dtype=bool)
-        # store index minus row position, over the row's latest draw
-        self.offset = np.zeros(m, dtype=np.int64)
-        self.arrivals = np.empty(0, dtype=_ARRIVAL)
-        self.size = 0
-        self.check(np.arange(m))
-
-    def extend(self, rows) -> None:
-        """Draw the next arrivals of ``rows``, then check them."""
-        series = self.series
-        count = self.count[rows]
-        last, pin = self._ends(rows, count)
-        eff = np.minimum(self.horizon[rows], pin)
-        if count.max() >= MAX_ARRIVALS:
-            raise ResourceError(
-                f"path series exceeded {MAX_ARRIVALS} arrivals",
-                achieved_bound=float(np.max(series.bound(eff, last))))
-        self._require(last, eff, self.horizon[rows])
-        sizes = np.minimum(np.maximum(count, _FIRST_DRAW), MAX_ARRIVALS - count)
-        for size in np.unique(sizes).tolist():
-            sel = sizes == size
-            group = rows[sel]
-            m = group.size
-            gaps = _child(self.rng, self.round, size).exponential(size=(m, size))
-            gammas = last[sel, None] + np.cumsum(gaps, axis=1) / series.intensity
-            comps = (np.zeros((m, size), dtype=np.int64) if len(series.families) == 1
-                     else np.searchsorted(np.cumsum(series.weights), _child(
-                         self.rng, self.round, size, 1).random((m, size))))
-            lowers = series.lowers[comps]
-            with np.errstate(divide="ignore"):
-                pins = np.where(lowers > 0.0, gammas / lowers, np.inf)
-            new = self._store(m * size)
-            new["row"] = np.repeat(group, size)
-            new["pos"] = (count[sel, None] + np.arange(size)).ravel()
-            new["gamma"], new["comp"] = gammas.ravel(), comps.ravel()
-            new["pin"] = np.minimum(np.minimum.accumulate(pins, axis=1),
-                                    pin[sel, None]).ravel()
-            self.offset[group] = (self.size - m * size + size * np.arange(m)
-                                  - count[sel])
-            self.count[group] += size
-        self.check(rows)
-
-    def _require(self, last, eff, horizon) -> None:
-        """Fail fast where certifying over [0, eff] expects over 2 * MAX_ARRIVALS
-        arrivals, for rows that no later arrival can pin earlier than eff."""
-        series = self.series
-        final = last >= eff * series.lowers.max()
-        if not np.any(final):
-            return
-        eff, horizon = eff[final], horizon[final]
-        if math.isfinite(series.upper):
-            point = eff * series.upper
-        else:
-            point = np.maximum(eff * series.median_max,
-                               series.thresholds(horizon) * (eff / horizon))
-        worst = int(np.argmax(point))
-        needed, v = series.intensity * point[worst], eff[worst]
-        if needed > 2.0 * MAX_ARRIVALS:
-            raise ResourceError(
-                f"path series needs about {needed:.3g} arrivals to certify "
-                f"tol {series.tol:g} over [0, {v:g}] (cap {MAX_ARRIVALS})",
-                achieved_bound=float(series.bound(v, MAX_ARRIVALS / series.intensity)))
-
-    def _store(self, n: int) -> np.ndarray:
-        """The next n slots of the store."""
-        end = self.size + n
-        if end > self.arrivals.size:
-            grown = np.empty(max(end, 2 * self.arrivals.size), dtype=_ARRIVAL)
-            grown[:self.size] = self.arrivals[:self.size]
-            self.arrivals = grown
-        self.size = end
-        return self.arrivals[end - n:end]
-
-    def _ends(self, rows, n):
-        """(gamma, pin) of the n-th arrival of each of ``rows``, which must
-        lie in the row's latest draw; (0, inf) for n = 0."""
-        last, pin = np.zeros(n.shape), np.full(n.shape, np.inf)
-        some = n > 0
-        end = self.arrivals[(self.offset[rows] + n - 1)[some]]
-        last[some], pin[some] = end["gamma"], end["pin"]
-        return last, pin
-
-    def check(self, rows) -> None:
-        """Search each of ``rows`` from ``kept`` for its certified prefix."""
-        kept = self.kept[rows]
-        lengths = self.count[rows] - kept + 1
-        starts = np.cumsum(lengths) - lengths
-        prefixes = np.repeat(kept - starts, lengths) + np.arange(lengths.sum())
-        ok = self.series.certified(*self._ends(np.repeat(rows, lengths), prefixes),
-                                   np.repeat(self.horizon[rows], lengths))
-        # the first certifying candidate of each row, at least lengths if none
-        first = np.minimum.reduceat(np.where(ok, np.arange(ok.size), ok.size),
-                                    starts) - starts
-        self.kept[rows] = kept + np.minimum(first, lengths)
-        self.certified[rows] = first < lengths
-
-    def _kept_arrivals(self, rows):
-        """The kept arrivals of ``rows``, and their rows' indices in rows."""
-        local = np.full(self.horizon.size, -1)
-        local[rows] = np.arange(rows.size)
-        stored = self.arrivals[:self.size]
-        owner = stored["row"]
-        kept = stored[(local[owner] >= 0) & (stored["pos"] < self.kept[owner])]
-        return kept, local[kept["row"]]
-
-    def sweep(self, rows, m: int) -> _PathSweep:
-        """The kept paths of ``rows``, m points each."""
-        kept, local = self._kept_arrivals(rows)
-        _, pin = self._ends(rows, self.kept[rows])
-        return _PathSweep(self.series.drift, self.series.families,
-                          kept["gamma"], kept["comp"], local, pin, m,
-                          [(alpha, scales[rows]) for alpha, scales in self.stable])
-
-    def path(self, row: int) -> IdtPath:
-        """The kept path of one row."""
-        series, horizon = self.series, float(self.horizon[row])
-        kept, _ = self._kept_arrivals(np.array([row]))
-        (last,), (pin,) = self._ends(np.array([row]), self.kept[[row]])
-        families = [series.families[c] for c in kept["comp"]]
-        return IdtPath(series.drift, series.intensity,
-                       tuple(zip(kept["gamma"].tolist(), families)), horizon,
-                       float(series.bound(min(horizon, pin), last)),
-                       tuple((a, float(s[row])) for a, s in self.stable))
-
-
 def sample_idt_path(triplet: IdtTriplet, horizon: float, rng,
                     tol: float = 1e-3) -> IdtPath:
     """Sample one additive path, truncated with certified remainder <= tol
     (in expectation) over [0, horizon].
 
-    The series stops at the first arrival that certifies the bound.
+    The series stops at the first arrival that certifies the bound.  Its
+    draw r takes _FIRST_DRAW arrivals, then as many as it holds, from the
+    children keyed (r, count) and (r, count, 1) of a child that rng spawns,
+    so the count doubles per draw.
     """
     horizon = float(horizon)
     if not (horizon > 0.0 and math.isfinite(horizon)):
@@ -734,11 +643,35 @@ def sample_idt_path(triplet: IdtTriplet, horizon: float, rng,
         raise ValueError(f"tol must be positive, got {tol}")
     if triplet.c == 0.0:
         return IdtPath(triplet.b, 0.0, (), horizon, 0.0)
-    rows = _Rows(_Series(triplet, tol), [horizon], rng.spawn(1)[0])
-    while not rows.certified[0]:
-        rows.extend(np.array([0]))
-        rows.round += 1
-    return rows.path(0)
+    series, rng = _series(triplet, tol), rng.spawn(1)[0]
+    stable = series.scales(1, rng) if series.alphas.size else []
+    # the last arrival and pin time of the first 0, 1, 2, ... arrivals
+    lasts, pins = np.zeros(1), np.full(1, np.inf)
+    comps = np.empty(0, dtype=np.int64)
+    # the shortest prefix not yet ruled out
+    kept = 0
+    for r in itertools.count():
+        ok = np.flatnonzero(series.certified(lasts[kept:], pins[kept:], horizon))
+        if ok.size:
+            kept += int(ok[0])
+            break
+        count, kept = comps.size, lasts.size
+        last, pin = lasts[-1], pins[-1]
+        eff = min(horizon, pin)
+        if count >= MAX_ARRIVALS:
+            raise ResourceError(f"path series exceeded {MAX_ARRIVALS} arrivals",
+                                achieved_bound=float(series.bound(eff, last)))
+        series.require(last, eff, horizon)
+        size = min(max(count, _FIRST_DRAW), MAX_ARRIVALS - count)
+        gammas, new, new_pins = series.draw(lasts[-1:], size, rng, r, size)
+        lasts = np.concatenate([lasts, gammas[0]])
+        pins = np.concatenate([pins, np.minimum(new_pins[0], pin)])
+        comps = np.concatenate([comps, new[0]])
+    families = [series.families[c] for c in comps[:kept].tolist()]
+    return IdtPath(series.drift, series.intensity,
+                   tuple(zip(lasts[1:kept + 1].tolist(), families)), horizon,
+                   float(series.bound(min(horizon, pins[kept]), lasts[kept])),
+                   tuple((a, float(s[0])) for a, s in stable))
 
 
 def sample_conditional_iid(triplet: IdtTriplet, d: int, rng,
@@ -747,8 +680,7 @@ def sample_conditional_iid(triplet: IdtTriplet, d: int, rng,
 
     Requires the normalization b + c = 1 so the margins are unit exponential;
     in distribution the output matches sample_minstable of the corresponding
-    canonical model.  See sample_conditional_iid_batch for the routes and
-    the role of ``tol``.
+    canonical model.  See sample_conditional_iid_batch.
     """
     return sample_conditional_iid_batch(triplet, d, 1, rng, tol)[0]
 
@@ -758,9 +690,9 @@ def sample_conditional_iid_batch(triplet: IdtTriplet, d: int, n: int, rng,
     """n first-passage vectors, shape (n, d).  See sample_conditional_iid.
 
     Pure drift (c = 0) gives iid unit exponentials; every other triplet runs
-    the block engine _first_passage.  ``tol`` bounds only the series of the
-    families that are not Frechet-type.  Outputs are deterministic given the
-    generator, and row i does not depend on n.
+    the block engine _first_passage, which is exact and truncates nothing:
+    ``tol`` is validated but does not change the output.  Outputs are
+    deterministic given the generator, and row i does not depend on n.
     """
     d, n = int(d), int(n)
     if d < 1:
@@ -773,49 +705,48 @@ def sample_conditional_iid_batch(triplet: IdtTriplet, d: int, n: int, rng,
         raise ValueError("first-passage sampling requires b + c = 1")
     if triplet.c == 0.0:
         return rng.exponential(size=(n, d))
-    return _first_passage(_Series(triplet, tol), d, n, rng)
+    return _first_passage(_series(triplet, tol), d, n, rng)
 
 
 def _first_passage(series: _Series, d: int, n: int, rng) -> np.ndarray:
     """n rows of d first passages, in blocks of _PASSAGE_BLOCK rows, each with
-    its own child generator.  No term of H reaches eta before H does, so the
-    bisection's top is the least of each stable term's passage (eta / s)^alpha
-    and the row's horizon (eta / drift with no series): exact for one term."""
+    its own child generator.
+
+    A block draws the levels eta from its generator, the stable terms
+    (_Series.scales) and _FIRST_DRAW series arrivals a row from its children
+    keyed 0, 1 and (0, _FIRST_DRAW).  H^N, the path of the drift, the stable
+    terms and those arrivals, has its passage Y^N below U = min(eta / drift,
+    the stable passages (eta / s)^alpha), since no term of it reaches eta
+    before it does.  The later arrivals are a Poisson process of their own:
+    walked from U above the row's last arrival (_extremal_minimum, from the
+    child keyed 2), they give min(U, Z), and Y = min(Y^N, Z) is the
+    bisection of H^N below it.  With no series and no drift, one stable
+    term is its own passage and needs no bisection.
+    """
     out = np.empty((n, d))
     starts = range(0, n, _PASSAGE_BLOCK)
     for start, block_rng in zip(starts, rng.spawn(len(starts))):
         m = min(_PASSAGE_BLOCK, n - start)
-        rows, etas = _passage_rows(series, d, m, block_rng)
-        sweep = rows.sweep(np.arange(m), d)
-        eta = etas.ravel()
+        eta = block_rng.exponential(size=(m, d))
+        stable = series.scales(m, block_rng) if series.alphas.size else []
         with np.errstate(divide="ignore"):
-            t_hi = (np.repeat(rows.horizon, d) if series.families
-                    else eta / series.drift)
-            for alpha, scales in sweep.stable:
-                t_hi = np.minimum(t_hi, np.exp(alpha * (np.log(eta) - scales)))
-        if series.families or series.drift or len(sweep.stable) > 1:
-            t_hi = _bisect(sweep.at, eta, t_hi)
-        out[start:start + m] = t_hi.reshape(m, d)
+            top = eta / series.drift
+            for alpha, scales in stable:
+                top = np.minimum(top, np.exp(alpha * (np.log(eta) - scales[:, None])))
+        if series.mu is None:
+            gammas = comps = np.empty((m, 0))
+            pins = np.full((m, 1), np.inf)
+        else:
+            gammas, comps, pins = series.draw(np.zeros(m), _FIRST_DRAW, block_rng,
+                                              0, _FIRST_DRAW)
+            _extremal_minimum(series.mu, top, series.intensity,
+                              _child(block_rng, 2), floor=gammas[:, -1])
+        if series.mu is not None or series.drift or len(stable) > 1:
+            # an arrival past top * upper adds exactly 0 below top
+            live = gammas <= top.max(axis=1, keepdims=True) * series.upper
+            sweep = _PathSweep(series.drift, series.families, gammas[live],
+                               comps[live], np.nonzero(live)[0], pins[:, -1], d,
+                               stable)
+            top = _bisect(sweep.at, eta.ravel(), top.ravel()).reshape(m, d)
+        out[start:start + m] = top
     return out
-
-
-def _passage_rows(series: _Series, d: int, m: int, rng):
-    """(rows, levels): m rows of d levels drawn from rng, and their paths,
-    certified over a horizon 2^j above the levels (1, unused, if no series)."""
-    etas = rng.exponential(size=(m, d))
-    rows = _Rows(series, np.ones(m), rng)
-    pending = np.full(m, bool(series.families))
-    while np.any(pending):
-        drawing = np.flatnonzero(pending & ~rows.certified)
-        if drawing.size:
-            rows.extend(drawing)
-        ready = np.flatnonzero(pending & rows.certified)
-        if ready.size:
-            above = (rows.sweep(ready, 1).values(rows.horizon[ready])
-                     > etas[ready].max(axis=1))
-            pending[ready[above]] = False
-            again = ready[~above]
-            rows.horizon[again] *= 2.0
-            rows.check(again)
-        rows.round += 1
-    return rows, etas

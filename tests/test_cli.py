@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -345,6 +346,38 @@ def test_path_determinism(spec_dir):
     runs = [run_cli(["path", "--spec", path, "--horizon", "2.0", "--grid",
                      "33", "--seed", "6"])[1] for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# sha256 of `path` stdout at --horizon 8 --grid 200 --tol 1e-5, recorded when
+# the path series still shared a multi-row store with first passage: the
+# one-row series must draw the same arrivals and keep the same prefix
+PATH_GOLDEN = [
+    ("frechet_two_point", {"b": 0, "c": 1, "mu": [
+        {"weight": 0.5, "family": "frechet", "alpha": 0.5},
+        {"weight": 0.5, "family": "two_point", "theta": 2}]}, 1,
+     "aab4295b276e1bf224b8dbc94719c315ea1e70545cbc4e2ced69e52e4ff6cceb"),
+    ("pinned", {"b": 0.1, "c": 0.9, "mu": [
+        {"weight": 0.5, "family": "unit_exponential"},
+        {"weight": 0.5, "family": "dirac1"}]}, 0,
+     "39efbcff4f2729f2c8eded9cef7aaf55b29397c23a2c90dd6d57fcd78e4a8314"),
+    ("two_point", {"b": 0, "c": 1, "mu": [
+        {"weight": 1.0, "family": "two_point", "theta": 0.7}]}, 1,
+     "61c32d5e0962af89a7539ee48c4bcafeb0c5d48435ad71ad0183efc1178b3504"),
+    ("tilted", {"b": 0, "c": 1, "mu": [
+        {"weight": 1.0, "family": "tilted", "z": 2.0,
+         "base": {"family": "unit_exponential"}}]}, 1,
+     "38045854469c1a0d29afdb3c6e5b74cdcd72843be4f52ef02053ed62917a7c76"),
+]
+
+
+@pytest.mark.parametrize("name, spec, seed, digest", PATH_GOLDEN,
+                         ids=[g[0] for g in PATH_GOLDEN])
+def test_path_stdout_is_golden(spec_dir, name, spec, seed, digest):
+    path = spec_dir(spec, f"{name}.json")
+    code, out = run_cli(["path", "--spec", path, "--horizon", "8", "--grid", "200",
+                         "--seed", str(seed), "--tol", "1e-5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_dump_spec_roundtrip(spec_dir, tmp_path):

@@ -1,4 +1,8 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -595,9 +599,14 @@ def test_conditional_iid_frechet_exact(b, c, alpha):
     MixingMeasure.point(Frechet(0.8)),
     MixingMeasure.point(TwoPoint(LN2)),
     MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])), (0.5, TwoPoint(LN2))]),
-], ids=["frechet", "two_point", "discrete_mixture"])
+    MixingMeasure.point(UnitExponential()),
+    MixingMeasure.point(tilt(UnitExponential(), 2.0)),
+    MixingMeasure([(0.5, UnitExponential()), (0.5, Dirac1())]),
+], ids=["frechet", "two_point", "discrete_mixture", "unit_exponential", "tilted",
+        "exponential_dirac1"])
 def test_conditional_iid_frechet_ignores_tol(mu):
-    # the stable frailty has no series; bounded supports are summed exactly
+    # first passage truncates nothing: the stable frailty has no series, and
+    # each row's series is a fixed count of arrivals followed by the walk
     tr = IdtTriplet(0.3, 0.7, mu)
     y1 = sample_conditional_iid_batch(tr, 3, 50, np.random.default_rng(50), tol=0.5)
     y2 = sample_conditional_iid_batch(tr, 3, 50, np.random.default_rng(50), tol=1e-9)
@@ -674,6 +683,63 @@ def test_conditional_iid_mixture_with_pinned_paths(tr, d):
     assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 * se)
 
 
+EXACT_PASSAGE_CASES = [
+    # cutting the series where tol = 1 certifies it put the margin means at
+    # z ~ 10 (n = 1e5)
+    ("unit_exponential_tol_1", IdtTriplet(0.0, 1.0, MixingMeasure.point(UnitExponential())),
+     1.0),
+    *[(f"two_point_{theta:g}", IdtTriplet(0.0, 1.0, MixingMeasure.point(TwoPoint(theta))),
+       1e-3) for theta in (1e-6, 1e-3, 0.7, 2.0)],
+    # certifying its series needed ~7e7 arrivals a row
+    ("tiny_top_weight", IdtTriplet(0.3, 0.7, MixingMeasure([
+        (0.5, Discrete([(0.9 / (1.0 - 1e-9), 1.0 - 1e-9), (1e8, 1e-9)])),
+        (0.5, UnitExponential())])), 1e-3),
+    ("pinned", PINNED_MIXTURES[0], 1e-3),
+]
+
+
+@pytest.mark.parametrize("tr, tol", [c[1:] for c in EXACT_PASSAGE_CASES],
+                         ids=[c[0] for c in EXACT_PASSAGE_CASES])
+def test_conditional_iid_exact_for_any_tol(tr, tol):
+    # a fixed count of arrivals, then the minimum construction over the rest:
+    # exact whatever tol, however thin the atoms and however long the tail
+    d, n = 3, 40_000
+    y = sample_conditional_iid_batch(tr, d, n, np.random.default_rng(58), tol)
+    model = tr.to_canonical()
+    for t in (np.full(d, 0.3), np.full(d, 1.0), np.array([0.4, 1.5, 0.8])):
+        assert abs(survival_z(y, t, model)) <= 4.0
+    assert np.all(np.abs(y.mean(axis=0) - 1.0) <= 4.0 / math.sqrt(n))
+
+
+_THIN_ATOM_SCRIPT = r"""
+import resource, sys
+if sys.platform.startswith("linux"):
+    # a regression fails fast here instead of growing without bound
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+import numpy as np
+from maxstable import IdtTriplet, MixingMeasure, TwoPoint, sample_conditional_iid_batch
+tr = IdtTriplet(0.0, 1.0, MixingMeasure.point(TwoPoint(1e-4)))
+y = sample_conditional_iid_batch(tr, 5, 4096, np.random.default_rng(0))
+assert y.shape == (4096, 5) and np.all(np.isfinite(y))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+      / (2**20 if sys.platform == "darwin" else 2**10))
+"""
+
+
+def test_conditional_iid_thin_atoms_stay_small():
+    # one block of TwoPoint(1e-4) rows, in a fresh interpreter so that its
+    # peak RSS (MB) counts this draw, under a 1 GiB address-space limit;
+    # certifying its series took ~8e4 arrivals a row and over 2.6 GB
+    src = os.path.dirname(os.path.dirname(samplers.__file__))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _THIN_ATOM_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 200.0
+
+
 @pytest.mark.parametrize("tr", [
     IdtTriplet(0.0, 1.0, MixingMeasure.point(UnitExponential())),
     IdtTriplet(0.0, 1.0, MixingMeasure.point(TwoPoint(LN2))),
@@ -725,7 +791,8 @@ def test_path_uncertifiable_tail_raises_quickly():
 
 
 def _spy_series(monkeypatch) -> list:
-    """The _Series that the samplers build from here on, in order."""
+    """The _Series that the samplers build from here on, in order, through
+    a cache of their own."""
     made = []
 
     class Spy(samplers._Series):
@@ -734,6 +801,8 @@ def _spy_series(monkeypatch) -> list:
             made.append(self)
 
     monkeypatch.setattr(samplers, "_Series", Spy)
+    monkeypatch.setattr(samplers, "_series", functools.lru_cache(
+        maxsize=samplers._SERIES_CACHE)(samplers._series.__wrapped__))
     return made
 
 
@@ -766,15 +835,14 @@ def test_pinned_path_scales_its_horizon_threshold(monkeypatch):
     assert pinned >= 5
 
 
-def test_first_passage_solves_thresholds_at_row_horizons_only(monkeypatch):
-    # pinned rows scale the threshold of their horizon, so thresholds are
-    # solved at the doubling horizons 2^j and never at a pin time
+def test_first_passage_solves_no_threshold(monkeypatch):
+    # first passage draws a fixed count of arrivals a row and walks the rest:
+    # no row is certified, so no threshold is solved, pinned rows included
     made = _spy_series(monkeypatch)
     y = sample_conditional_iid_batch(EXP_DIRAC1, 5, 2_000, np.random.default_rng(57))
     series, = made
-    horizons = sorted(series._thresholds)
-    assert horizons == [2.0 ** j for j in range(len(horizons))]
-    assert len(horizons) > 1 and np.all(np.isfinite(y))
+    assert series._thresholds == {}
+    assert np.all(np.isfinite(y)) and np.all(y > 0.0)
 
 
 @pytest.mark.parametrize("tr", [
@@ -807,27 +875,35 @@ def test_pinned_path_matches_stdf():
 
 
 def test_conditional_iid_sweep_matches_scalar_bisection():
-    # reference: bisect each coordinate alone with scalar evaluations of the
-    # row's own final path, an IdtPath over the row's final horizon, through
-    # one single-point sweep per row (bit-identical to path.value)
+    # reference: bisect each coordinate alone below the row's walked minimum
+    # min(eta / b, Z), with scalar evaluations of H^N, an IdtPath of the row's
+    # _FIRST_DRAW arrivals, through one single-point sweep per row
+    # (bit-identical to path.value)
     mu = MixingMeasure([(0.5, Discrete([(0.5, 0.5), (1.5, 0.5)])),
                         (0.5, UnitExponential())])
     tr = IdtTriplet(0.2, 0.8, mu)
-    d, n, tol = 3, 200, 1e-3
+    d, n, tol, draw = 3, 200, 1e-3, samplers._FIRST_DRAW
     y = sample_conditional_iid_batch(tr, d, n, np.random.default_rng(54), tol)
     block_rng, = np.random.default_rng(54).spawn(1)
-    rows, etas = samplers._passage_rows(samplers._Series(tr, tol), d, n,
-                                        block_rng)
+    series = samplers._Series(tr, tol)
+    eta = block_rng.exponential(size=(n, d))
+    gammas, comps, _ = series.draw(np.zeros(n), draw, block_rng, 0, draw)
+    top = eta / tr.b
+    samplers._extremal_minimum(series.mu, top, series.intensity,
+                               samplers._child(block_rng, 2), floor=gammas[:, -1])
+    assert np.all(y <= top)
     for i in range(n):
-        path = rows.path(i)
+        atoms = tuple((g, series.families[c])
+                      for g, c in zip(gammas[i].tolist(), comps[i].tolist()))
+        path = samplers.IdtPath(tr.b, series.intensity, atoms, top[i].max(), 0.0)
         sweep = path._sweep(1)
         for k in range(d):
-            lo, hi = 0.0, path.horizon
+            lo, hi = 0.0, top[i, k]
             for _ in range(200):
                 if hi - lo <= 1e-10 * hi:
                     break
                 mid = 0.5 * (lo + hi)
-                if sweep.values(np.array([mid]))[0] > etas[i, k]:
+                if sweep.values(np.array([mid]))[0] > eta[i, k]:
                     hi = mid
                 else:
                     lo = mid
